@@ -3,8 +3,9 @@ A channel without the analytic shortcut
 =======================================
 
 h = (-0.3, 1, 0.6) has a Gram inverse that is not diagonally dominant, so
-every per-pattern minimum energy comes from the dual QP solver rather than
-the quadratic form.  This script prints the energy-profile summary and a
+the quadratic form is the minimum energy only for the patterns whose dual
+2*d*diag(s)*G*s is nonnegative; the active-set QP solver finds the lower
+optimum of the others.  This script prints the energy-profile summary and a
 capacity / Markov-rate table, with the Markov power evaluated at the same
 finite block length as the capacity so the two are comparable.
 """

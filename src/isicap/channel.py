@@ -52,10 +52,12 @@ class ChannelSpec:
         object.__setattr__(self, "taps", taps)
         if len(taps) < 1:
             raise ValueError("need at least one tap")
+        if not np.all(np.isfinite(taps)):
+            raise ValueError("taps must be finite")
         if not any(t != 0.0 for t in taps):
             raise ValueError("all taps are zero")
-        if not self.delta > 0:
-            raise ValueError("delta must be positive")
+        if not 0 < self.delta < np.inf:
+            raise ValueError("delta must be positive and finite")
         if self.block_len < len(taps):
             raise ValueError("block_len must be at least the tap count")
 
@@ -127,6 +129,8 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
         )
 
     gram_gen = np.fft.ifft(1.0 / np.abs(fft_col) ** 2).real
+    if not np.all(np.isfinite(gram_gen)):
+        raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
     inv_row = np.fft.ifft(1.0 / fft_col).real
 
     # Diagonal dominance of the circulant G reads off its generator:

@@ -95,6 +95,8 @@ def _parse_grid(text: str) -> tuple:
         values = tuple(float(v) for v in np.linspace(lo, hi, count))
     else:
         values = tuple(float(t) for t in text.split(","))
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"grid values must be finite, got {text!r}")
     if any(b < a for a, b in zip(values, values[1:])):
         raise ValueError("grid must be ascending")
     return values

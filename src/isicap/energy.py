@@ -4,22 +4,19 @@ E(s) is the optimal value of the convex QP
 
     min ||x||^2   s.t.   diag(s) M_h x >= delta * 1,
 
-the least energy that forces the quantized block output to equal s.  On
-diagonally-dominant channels the inequality is tight at the optimum and
+the least energy that forces the quantized block output to equal s.  With
+z = diag(s) M_h x it reads min z^T A z s.t. z >= delta, A = diag(s) G diag(s).
+The closed form z = delta * 1, i.e.
 
     E(s) = delta^2 * s^T G s,      x* = delta * M_h^{-1} s,
 
-with the nonnegative dual 2*delta*diag(s)*G*diag(s)*1 certifying optimality.
-For a single pattern, delta^2 * s^T G s is optimal exactly when that dual
-2*delta*diag(s)*G*s is nonnegative, and otherwise lies strictly above the QP
-optimum; diagonal dominance is the case where this holds for every s.
-Otherwise a projected-gradient solver with Nesterov momentum runs on the dual
-
-    max_{lam >= 0}  -lam^T A lam / 4 + delta * 1^T lam,
-    A = diag(s) M_h M_h^T diag(s),
-
-recovering x = M_h^T diag(s) lam / 2 and certifying the result through the
-duality gap of a feasibility-scaled primal candidate.
+has multipliers mu = 2*delta*diag(s)*G*s and is optimal exactly when mu >= 0;
+diagonal dominance of G is the case where this holds for every s.  The
+solver is a primal active-set method (Lawson-Hanson) started there: it frees
+the bound with the most negative multiplier, minimizes over the free z_i with
+the others held at delta, steps back to feasibility when a free z_i would
+fall below delta, and stops after finitely many pivots once mu >= 0.  Each
+result carries x*, the dual mu and their duality gap, which certifies it.
 
 Exhaustive profiles enumerate all 2^N patterns; the code of a pattern is the
 integer whose big-endian bits map 1 -> +1 and 0 -> -1.
@@ -36,8 +33,9 @@ from .exceptions import NoConvergence, NotDiagonallyDominant, TooLarge
 # Exhaustive enumeration cap: 2^20 patterns is the desk-scale budget.
 ENUMERATION_CAP = 20
 
-# Feasibility slack on the returned x*, relative to delta.
-FEAS_TOL = 1e-8
+# Multipliers above -DUAL_TOL * 2*delta*g_0 count as nonnegative, so rounding
+# noise on a zero multiplier triggers no pivot.
+DUAL_TOL = 1e-12
 
 # Patterns within this relative distance of e_min count as minimizers.
 MIN_TIE_TOL = 1e-9
@@ -105,8 +103,8 @@ def _as_pattern(ops: ChannelOperators, s) -> np.ndarray:
 
 def _gram_apply(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
     """G acting on each row, via the spectral form of the circulant G."""
-    spec_weight = 1.0 / np.abs(ops.fft_col) ** 2
-    return np.fft.ifft(np.fft.fft(rows, axis=-1) * spec_weight, axis=-1).real
+    spec_weight = 1.0 / np.abs(ops.fft_col[: ops.n // 2 + 1]) ** 2
+    return np.fft.irfft(np.fft.rfft(rows, axis=-1) * spec_weight, n=ops.n, axis=-1)
 
 
 def _quadratic_form_rows(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
@@ -115,6 +113,10 @@ def _quadratic_form_rows(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
     spec_weight = 1.0 / np.abs(ops.fft_col) ** 2
     mag2 = np.abs(np.fft.fft(rows, axis=-1)) ** 2
     return (mag2 @ spec_weight) / ops.n
+
+
+def _dual_tol(ops: ChannelOperators) -> float:
+    return DUAL_TOL * 2.0 * ops.delta * ops.gram_generator[0]
 
 
 def analytic_energy(ops: ChannelOperators, s) -> EnergySolution:
@@ -131,91 +133,94 @@ def analytic_energy(ops: ChannelOperators, s) -> EnergySolution:
     return EnergySolution(energy=energy, x_star=x_star, dual=dual, gap=0.0)
 
 
-def _circulant_dense(ops: ChannelOperators) -> np.ndarray:
-    col = np.zeros(ops.n)
-    col[: len(ops.spec.taps)] = ops.spec.taps
-    idx = (np.arange(ops.n)[:, None] - np.arange(ops.n)[None, :]) % ops.n
-    return col[idx]
+def _free_set_optimum(ops, s, free):
+    """Per row, the minimizer of z'Az with z = delta off the free set; the free
+    indices go to the front of a k x k system, padded with identity rows."""
+    k = int(free.sum(axis=1).max())
+    order = np.argsort(~free, axis=1, kind="stable")[:, :k]
+    valid = np.take_along_axis(free, order, axis=1)
+    s_o = np.take_along_axis(s, order, axis=1)
+    sub = ops.gram_generator[(order[:, :, None] - order[:, None, :]) % ops.n]
+    sub *= s_o[:, :, None] * s_o[:, None, :]
+    sub = np.where(valid[:, :, None] & valid[:, None, :], sub, np.eye(k))
+    rhs = np.take_along_axis(-ops.delta * s * _gram_apply(ops, s * ~free), order, axis=1)
+    sol = np.linalg.solve(sub, np.where(valid, rhs, ops.delta)[..., None])[..., 0]
+    z = np.full(s.shape, ops.delta)
+    np.put_along_axis(z, order, sol, axis=1)
+    return z
 
 
-def _solve_qp_batch(ops, patterns, gap_tol=None, max_iter=None, want_vectors=False):
-    """FISTA on the dual for a batch of pattern rows.
+def _active_set(ops, s, budget):
+    """Lawson-Hanson on min z'Az s.t. z >= delta, A = diag(s) G diag(s), for each
+    row of s from z = delta.  Returns z and mu = 2Az (0 on the free set) once
+    mu >= -tol or after budget pivots."""
+    delta, tol = ops.delta, _dual_tol(ops)
+    z = np.full(s.shape, delta)
+    free = np.zeros(s.shape, dtype=bool)
+    mu = np.empty(s.shape)
+    live = np.arange(s.shape[0])
+    for pivot in range(budget + 1):
+        s_live = s[live]
+        mu[live] = np.where(free[live], 0.0, 2.0 * s_live * _gram_apply(ops, s_live * z[live]))
+        j = np.argmin(mu[live], axis=1)
+        keep = mu[live, j] < -tol
+        live, j = live[keep], j[keep]
+        if pivot == budget or live.size == 0:
+            break
+        free[live, j] = True
+        step = live
+        while step.size:
+            zp = _free_set_optimum(ops, s[step], free[step])
+            done = np.all((zp > delta) | ~free[step], axis=1)
+            z[step[done]] = zp[done]
+            step, zp = step[~done], zp[~done]
+            # Step toward zp until a free z_i reaches delta (the ratios on low
+            # entries lie in [0, 1]) and bind every free entry that got there.
+            zs, fs, rows = z[step], free[step], np.arange(step.size)
+            low = fs & (zp <= delta)
+            span = np.where(low, np.maximum(zs - zp, np.finfo(float).tiny), 1.0)
+            ratio = (zs - delta) / span
+            first = np.argmin(np.where(low, ratio, np.inf), axis=1)
+            zs += ratio[rows, first][:, None] * (zp - zs)
+            fs[rows, first] = False
+            fs &= zs > delta
+            z[step], free[step] = np.where(fs, zs, delta), fs
+    return z, mu
 
-    Returns (energy, gap) arrays, plus (x, lam) when want_vectors.  gap_tol of
-    None applies the default rule 1e-8 * max(1, primal) per pattern; a number
-    is an absolute gap requirement.
-    """
-    n, delta = ops.n, ops.delta
-    m = _circulant_dense(ops)
-    b = m @ m.T
-    step = 0.5 / np.max(np.abs(ops.fft_col)) ** 2
-    if max_iter is None:
-        max_iter = 50 * n * n
 
-    s = patterns
-    lam = np.maximum(2.0 * delta * s * _gram_apply(ops, s), 0.0)
-    y = lam.copy()
-    t = 1.0
-    rows = s.shape[0]
-    best_gap = np.full(rows, np.inf)
-    best_energy = np.full(rows, np.inf)
-    best_x = np.zeros_like(s) if want_vectors else None
-    best_lam = np.zeros_like(s) if want_vectors else None
-
-    for it in range(max_iter):
-        grad = -0.5 * (s * ((s * y) @ b)) + delta
-        lam_new = np.maximum(y + step * grad, 0.0)
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        y = lam_new + ((t - 1.0) / t_new) * (lam_new - lam)
-        lam, t = lam_new, t_new
-
-        if it % 8 == 0 or it == max_iter - 1:
-            a_lam = s * ((s * lam) @ b)
-            dual_val = -0.25 * np.einsum("ij,ij->i", lam, a_lam) + delta * lam.sum(axis=1)
-            x = 0.5 * (s * lam) @ m
-            margins = (s * (x @ m.T)).min(axis=1)
-            ok = margins > 0
-            scale = np.where(ok, delta / np.where(ok, margins, 1.0), np.inf)
-            primal = scale**2 * np.einsum("ij,ij->i", x, x)
-            gap = primal - dual_val
-            improved = gap < best_gap
-            best_gap = np.where(improved, gap, best_gap)
-            best_energy = np.where(improved, primal, best_energy)
-            if want_vectors and np.any(improved):
-                best_x[improved] = scale[improved, None] * x[improved]
-                best_lam[improved] = lam[improved]
-            if gap_tol is None:
-                target = 1e-8 * np.maximum(1.0, best_energy)
-            else:
-                target = gap_tol
-            if np.all(best_gap <= target):
-                break
-
-    if want_vectors:
-        return best_energy, best_gap, best_x, best_lam
-    return best_energy, best_gap
+def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
+    """x*, E, dual and duality gap for each pattern row of s; raises
+    NoConvergence when a gap misses its tolerance."""
+    budget = 3 * ops.n if max_iter is None else max_iter
+    z, mu = _active_set(ops, s, budget)
+    x = apply_inverse(ops, s * z)
+    dual = np.maximum(mu, 0.0)
+    # Weak duality: delta*1'dual - ||M_h^T diag(s) dual||^2 / 4 bounds E below.
+    mt_dual = np.fft.ifft(np.fft.fft(s * dual, axis=-1) * ops.dft_gains, axis=-1).real
+    e = np.einsum("ij,ij->i", x, x)
+    gap = e - (ops.delta * dual.sum(axis=1) - 0.25 * np.einsum("ij,ij->i", mt_dual, mt_dual))
+    excess = gap - (1e-8 * np.maximum(1.0, e) if gap_tol is None else gap_tol)
+    if not np.all(excess <= 0):
+        worst = int(np.argmax(excess))
+        raise NoConvergence(
+            f"duality gap {gap[worst]:.3e} above tolerance after a budget of {budget} pivots",
+            gap=float(gap[worst]),
+        )
+    return x, e, dual, gap
 
 
 def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None, max_iter=None) -> EnergySolution:
-    """Solve the dual QP for one pattern and certify via the duality gap."""
+    """E(s) by the active-set method from the closed form, certified by the
+    duality gap (at rounding level it can be negative).  max_iter is the pivot
+    budget (default 3N); gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
     s = _as_pattern(ops, s)
-    energy, gap, x, lam = _solve_qp_batch(
-        ops, s[None, :], gap_tol=gap_tol, max_iter=max_iter, want_vectors=True
-    )
-    e, g = float(energy[0]), float(gap[0])
-    target = 1e-8 * max(1.0, e) if gap_tol is None else gap_tol
-    if not g <= target:
-        raise NoConvergence(
-            f"duality gap {g:.3e} above tolerance {target:.3e} after iteration budget",
-            gap=g,
-        )
-    return EnergySolution(energy=e, x_star=x[0], dual=lam[0], gap=g)
+    x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol, max_iter=max_iter)
+    # x[0] is a strided view into a complex FFT buffer; keep a compact copy.
+    return EnergySolution(float(e[0]), x[0].copy(), dual[0], float(gap[0]))
 
 
 def energy(ops: ChannelOperators, s) -> EnergySolution:
-    """E(s) by the analytic formula when available, otherwise the QP."""
-    if ops.dd_flag:
-        return analytic_energy(ops, s)
+    """Certified E(s): the closed form where it is optimal, else the QP optimum."""
     return solve_energy_qp(ops, s)
 
 
@@ -225,7 +230,7 @@ def _all_patterns(n: int, start: int, stop: int) -> np.ndarray:
     return bits * 2.0 - 1.0
 
 
-def enumerate_profile(ops: ChannelOperators, gap_tol=None) -> EnergyProfile:
+def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     """Compute E(s) for every pattern of length N (N <= ENUMERATION_CAP)."""
     n = ops.n
     if n > ENUMERATION_CAP:
@@ -236,18 +241,12 @@ def enumerate_profile(ops: ChannelOperators, gap_tol=None) -> EnergyProfile:
     for start in range(0, total, _CHUNK):
         stop = min(start + _CHUNK, total)
         pats = _all_patterns(n, start, stop)
-        if ops.dd_flag:
-            vals = ops.delta**2 * _quadratic_form_rows(ops, pats)
-        else:
-            vals, gaps = _solve_qp_batch(ops, pats, gap_tol=gap_tol)
-            worst = float(np.max(gaps - (
-                1e-8 * np.maximum(1.0, vals) if gap_tol is None else gap_tol
-            )))
-            if worst > 0:
-                raise NoConvergence(
-                    f"a pattern in [{start}, {stop}) missed its gap tolerance by {worst:.3e}",
-                    gap=float(np.max(gaps)),
-                )
+        vals = ops.delta**2 * _quadratic_form_rows(ops, pats)
+        if not ops.dd_flag:
+            # Only rows whose closed-form dual has a negative entry need pivots.
+            duals = 2.0 * pats * _gram_apply(ops, ops.delta * pats)
+            bad = np.flatnonzero(duals.min(axis=1) < -_dual_tol(ops))
+            vals[bad] = _solve(ops, pats[bad])[1]
         energies[start:stop] = vals
         chunk_sums.append(math.fsum(vals.tolist()))
 

@@ -19,8 +19,8 @@ class NotDiagonallyDominant(IsicapError):
 
 
 class NoConvergence(IsicapError):
-    """The dual QP solver exhausted its iteration budget before certifying the
-    duality gap.  Carries the best achieved gap."""
+    """The active-set QP solver spent its pivot budget before its duality gap
+    met the tolerance.  Carries the gap it reached."""
 
     def __init__(self, message, gap=None):
         super().__init__(message)

@@ -71,6 +71,8 @@ def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
 
 def solve_beta(profile: EnergyProfile, power: float, n: int) -> GibbsSolution:
     """Classify the regime at per-use power P and solve for beta if interior."""
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power!r}")
     np_budget = n * power
     e_min, e_mean = profile.e_min, profile.e_mean
 

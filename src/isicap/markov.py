@@ -139,6 +139,8 @@ def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "
     power (the definition of the rate), "finite" uses the exact block-length
     power at spec.block_len, which is what a length-N system pays.
     """
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power!r}")
     if power_model == "asymptotic":
         coeffs = _spectral_power_coeffs(spec)
         tail = coeffs[1:]

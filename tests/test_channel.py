@@ -106,6 +106,22 @@ def test_singular_channel_rejected():
         build_operators(ChannelSpec((1.0, 1.0), 0.3, 8))
 
 
+@pytest.mark.parametrize(
+    "taps, delta",
+    [((1.0, float("nan")), 0.3), ((float("inf"), 0.2), 0.3), ((1.0, 0.2), float("inf")),
+     ((1.0, 0.2), float("nan"))],
+)
+def test_non_finite_spec_rejected(taps, delta):
+    with pytest.raises(ValueError):
+        ChannelSpec(taps, delta, 8)
+
+
+def test_overflowing_gram_rejected():
+    # |f|^2 underflows, so 1/|f|^2 is inf although the taps are finite.
+    with pytest.raises(SingularChannel):
+        build_operators(ChannelSpec((0.0, 1e-160), 0.3, 4))
+
+
 def test_dd_flag_cases():
     assert build_operators(ChannelSpec((1.0, 0.2), 0.3, 12)).dd_flag
     assert not build_operators(ChannelSpec((-0.3, 1.0, 0.6), 0.3, 12)).dd_flag

@@ -162,6 +162,14 @@ def test_bad_grid_rejected(capsys):
     assert "ascending" in err
 
 
+@pytest.mark.parametrize("grid", ["nan,0.8", "0.8,inf", "0.5:nan:3"])
+def test_non_finite_grid_rejected(capsys, grid):
+    code, out, err = run_cli(capsys, "capacity", "--taps", "1,0.2", "--n", "8", "--grid", grid)
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
 def test_raw_units_flag(capsys):
     _, out_norm, _ = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.9")
     _, out_raw, _ = run_cli(

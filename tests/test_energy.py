@@ -1,7 +1,9 @@
-"""Energy QP: analytic path, iterative dual solver, exhaustive profiles."""
+"""Energy QP: analytic path, active-set solver, exhaustive profiles."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from isicap import (
@@ -18,6 +20,7 @@ from isicap import (
     pattern_from_code,
     solve_energy_qp,
 )
+from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
 DELTA = 0.3
@@ -99,19 +102,93 @@ def test_qp_certificates(three_tap_ops):
 
 
 def test_qp_nonconvergence_surfaces():
-    # This pattern's warm start is infeasible for the shortcut dual, so a
-    # starved iteration budget cannot certify the unreachable tolerance.
+    # This pattern's closed-form dual has a negative entry, so it needs a
+    # pivot; with no pivot budget the gap cannot meet the tolerance.
     ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, 12))
     s = pattern_from_code(0b000101010101, 12)
     with pytest.raises(NoConvergence) as err:
-        solve_energy_qp(ops, s, gap_tol=1e-16, max_iter=3)
+        solve_energy_qp(ops, s, gap_tol=1e-16, max_iter=0)
     assert err.value.gap is not None and err.value.gap > 1e-16
 
 
 def test_energy_dispatcher(two_tap_ops, three_tap_ops):
-    s = np.ones(12)
-    assert energy(two_tap_ops, s).gap == 0.0  # analytic branch
-    assert energy(three_tap_ops, s).gap > 0.0  # QP branch
+    # delta^2 s'Gs is E(s) exactly when its dual 2*delta*diag(s)*G*s is
+    # nonnegative; otherwise the certified optimum lies strictly below it.
+    g = three_tap_ops.gram_inverse()
+    rule_holds = 0
+    for code in range(0, 1 << 12, 7):
+        s = pattern_from_code(code, 12)
+        closed = DELTA**2 * float(s @ g @ s)
+        sol = energy(three_tap_ops, s)
+        assert sol.gap <= 1e-8 * max(1.0, sol.energy)
+        if np.all(2.0 * DELTA * s * (g @ s) >= 0.0):
+            rule_holds += 1
+            assert sol.energy == pytest.approx(closed, rel=1e-12)
+        else:
+            assert sol.energy < closed
+    assert 0 < rule_holds < len(range(0, 1 << 12, 7))
+    for code in (0, 1234, (1 << 12) - 1):
+        s = pattern_from_code(code, 12)
+        ref = analytic_energy(two_tap_ops, s)
+        sol = energy(two_tap_ops, s)
+        assert sol.energy == pytest.approx(ref.energy, rel=1e-12)
+        np.testing.assert_allclose(sol.x_star, ref.x_star, rtol=1e-12, atol=1e-15)
+
+
+def _markov_patterns(rng, count, n):
+    """Sign sequences that repeat the previous sign with a probability drawn
+    from [0.2, 0.8] per sequence."""
+    alphas = rng.uniform(0.2, 0.8, size=count)
+    flips = rng.random((count, n)) >= alphas[:, None]
+    flips[:, 0] = False
+    return np.where(np.cumsum(flips, axis=1) % 2 == 0, 1.0, -1.0)
+
+
+def _assert_certified(ops, m, g, s, sol):
+    assert np.isfinite(sol.energy)
+    assert sol.gap <= 1e-8 * max(1.0, sol.energy)
+    assert sol.dual.min() >= 0.0
+    assert (s * (m @ sol.x_star)).min() >= ops.delta * (1 - 1e-8)
+    assert sol.energy == pytest.approx(sol.x_star @ sol.x_star, rel=1e-12)
+    assert sol.energy <= ops.delta**2 * float(s @ g @ s) * (1 + 1e-12)
+
+
+def test_markov_patterns_certified_on_strong_two_tap():
+    # On taps (1, 0.8) at N = 128 about a quarter of these patterns used to
+    # come back as E = inf and gap = inf without an error.
+    n = 128
+    ops = build_operators(ChannelSpec((1.0, 0.8), DELTA, n))
+    m = circulant_matrix((1.0, 0.8), n)
+    g = np.linalg.inv(m @ m.T)
+    for s in _markov_patterns(np.random.default_rng(11), 200, n):
+        _assert_certified(ops, m, g, s, energy(ops, s))
+
+
+# Channels with 0.1 <= |f| <= 10 |f|_min, so G is finite and well conditioned.
+@st.composite
+def _channels(draw):
+    taps = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3)))
+    n = draw(st.integers(max(3, len(taps)), 10))
+    gains = np.abs(np.fft.fft(np.pad(taps, (0, n - len(taps)))))
+    assume(gains.min() >= max(0.1, 0.1 * gains.max()))
+    code = draw(st.integers(0, (1 << n) - 1))
+    return taps, n, pattern_from_code(code, n)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(_channels(), st.integers(1, 9))
+def test_qp_property_against_nnls(case, shift):
+    taps, n, s = case
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    m = circulant_matrix(taps, n)
+    g = np.linalg.inv(m @ m.T)
+    sol = solve_energy_qp(ops, s)
+    _assert_certified(ops, m, g, s, sol)
+    assert sol.energy == pytest.approx(_nnls_energy(g, s, DELTA), rel=1e-9)
+    for other in (np.roll(s, shift), -s):
+        moved = solve_energy_qp(ops, other)
+        _assert_certified(ops, m, g, other, moved)
+        assert moved.energy == pytest.approx(sol.energy, rel=1e-12)
 
 
 def test_pattern_validation(two_tap_ops):

@@ -117,3 +117,9 @@ def test_beta_scale_invariance(two_tap_profile):
     lo = solve_beta(two_tap_profile, floor + 0.1 * (mean - floor), N)
     hi = solve_beta(two_tap_profile, floor + 0.8 * (mean - floor), N)
     assert hi.gibbs_beta < lo.gibbs_beta
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf])
+def test_non_finite_power_rejected(two_tap_profile, power):
+    with pytest.raises(ValueError):
+        solve_beta(two_tap_profile, power, N)

@@ -175,3 +175,10 @@ def test_closed_form_boundaries():
     )
     with pytest.raises(ValueError):
         rate_two_tap_closed_form(1.0, DELTA, 0.1)
+
+
+@pytest.mark.parametrize("model", ["asymptotic", "finite"])
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+def test_non_finite_power_rejected(power, model):
+    with pytest.raises(ValueError):
+        achievable_rate_detail(TWO_TAP, power, power_model=model)
