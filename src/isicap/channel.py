@@ -159,13 +159,15 @@ def _check_len(ops: ChannelOperators, v) -> np.ndarray:
 def apply_channel(ops: ChannelOperators, x) -> np.ndarray:
     """y = M_h x (circular convolution).  Works on a vector or a batch of rows."""
     x = _check_len(ops, x)
-    return np.fft.ifft(np.fft.fft(x, axis=-1) * ops.fft_col, axis=-1).real
+    half = ops.fft_col[: ops.n // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(x, axis=-1) * half, n=ops.n, axis=-1)
 
 
 def apply_inverse(ops: ChannelOperators, y) -> np.ndarray:
     """x = M_h^{-1} y via spectral division.  Works on a vector or a batch."""
     y = _check_len(ops, y)
-    return np.fft.ifft(np.fft.fft(y, axis=-1) / ops.fft_col, axis=-1).real
+    half = ops.fft_col[: ops.n // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(y, axis=-1) / half, n=ops.n, axis=-1)
 
 
 def quantize(x):

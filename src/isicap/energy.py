@@ -18,12 +18,20 @@ the others held at delta, steps back to feasibility when a free z_i would
 fall below delta, and stops after finitely many pivots once mu >= 0.  Each
 result carries x*, the dual mu and their duality gap, which certifies it.
 
-Exhaustive profiles enumerate all 2^N patterns; the code of a pattern is the
-integer whose big-endian bits map 1 -> +1 and 0 -> -1.
+The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
+0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
+exhaustive profile solves one pattern per orbit under rotation and negation
+(26,272 orbits for the 2^20 patterns at N = 20).  The orbits are listed
+directly: binary necklaces (least rotations) come from the iterative
+Fredricksen-Kessler-Maiorana algorithm, and a necklace is kept when it is
+not above the least rotation of its complement.  Each orbit carries its
+size, the necklace's period, doubled when the complement lies in another
+rotation class.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,25 +63,39 @@ class EnergySolution:
 
 @dataclass(frozen=True)
 class EnergyProfile:
-    """Exhaustive energy landscape over all 2^N sign patterns.
+    """Exhaustive energy landscape over the 2^N sign patterns, stored per orbit.
 
-    energies[c] is E(s) for the pattern with code c (big-endian bits,
-    1 -> +1).  min_count is the number of patterns tied with e_min within
+    orbit_codes[i] is the least code in orbit i under rotation and negation
+    (increasing in i), multiplicity[i] the orbit's size and orbit_energies[i]
+    its energy.  min_count is the number of patterns tied with e_min within
     MIN_TIE_TOL relative.
     """
 
-    energies: np.ndarray
+    n: int
+    orbit_codes: np.ndarray
+    multiplicity: np.ndarray
+    orbit_energies: np.ndarray
     e_min: float
     e_max: float
     e_mean: float
     min_count: int
 
-    @property
-    def n(self):
-        return int(self.energies.size).bit_length() - 1
+    @cached_property
+    def energies(self) -> np.ndarray:
+        """Read-only E per code, all 2^N of them, built on first access."""
+        full = np.empty(1 << self.n)
+        mask = (1 << self.n) - 1
+        for rotated in _rotations(self.orbit_codes, self.n):
+            full[rotated] = self.orbit_energies
+            full[rotated ^ mask] = self.orbit_energies
+        full.flags.writeable = False
+        return full
 
     def energy_of(self, signs) -> float:
-        return float(self.energies[code_from_pattern(signs)])
+        code = np.array([code_from_pattern(_as_pattern(self.n, signs))], dtype=np.int64)
+        mask = (1 << self.n) - 1
+        least = min(_least_rotation(code, self.n)[0], _least_rotation(code ^ mask, self.n)[0])
+        return float(self.orbit_energies[np.searchsorted(self.orbit_codes, least)])
 
     def minimizer_codes(self) -> np.ndarray:
         tie = self.e_min * (1 + MIN_TIE_TOL)
@@ -92,10 +114,10 @@ def code_from_pattern(signs) -> int:
     return int(bits @ (1 << np.arange(len(bits) - 1, -1, -1)))
 
 
-def _as_pattern(ops: ChannelOperators, s) -> np.ndarray:
+def _as_pattern(n: int, s) -> np.ndarray:
     s = np.asarray(s, dtype=float)
-    if s.shape != (ops.n,):
-        raise ValueError(f"pattern must have shape ({ops.n},), got {s.shape}")
+    if s.shape != (n,):
+        raise ValueError(f"pattern must have shape ({n},), got {s.shape}")
     if not np.all(np.abs(s) == 1.0):
         raise ValueError("pattern entries must be exactly +-1")
     return s
@@ -125,7 +147,7 @@ def analytic_energy(ops: ChannelOperators, s) -> EnergySolution:
         raise NotDiagonallyDominant(
             "analytic energy needs a diagonally-dominant Gram inverse"
         )
-    s = _as_pattern(ops, s)
+    s = _as_pattern(ops.n, s)
     gs = _gram_apply(ops, s[None, :])[0]
     energy = ops.delta**2 * float(s @ gs)
     x_star = ops.delta * apply_inverse(ops, s)
@@ -196,7 +218,8 @@ def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
     x = apply_inverse(ops, s * z)
     dual = np.maximum(mu, 0.0)
     # Weak duality: delta*1'dual - ||M_h^T diag(s) dual||^2 / 4 bounds E below.
-    mt_dual = np.fft.ifft(np.fft.fft(s * dual, axis=-1) * ops.dft_gains, axis=-1).real
+    half = ops.dft_gains[: ops.n // 2 + 1]
+    mt_dual = np.fft.irfft(np.fft.rfft(s * dual, axis=-1) * half, n=ops.n, axis=-1)
     e = np.einsum("ij,ij->i", x, x)
     gap = e - (ops.delta * dual.sum(axis=1) - 0.25 * np.einsum("ij,ij->i", mt_dual, mt_dual))
     excess = gap - (1e-8 * np.maximum(1.0, e) if gap_tol is None else gap_tol)
@@ -213,10 +236,9 @@ def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None, max_iter=None) -> En
     """E(s) by the active-set method from the closed form, certified by the
     duality gap (at rounding level it can be negative).  max_iter is the pivot
     budget (default 3N); gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
-    s = _as_pattern(ops, s)
+    s = _as_pattern(ops.n, s)
     x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol, max_iter=max_iter)
-    # x[0] is a strided view into a complex FFT buffer; keep a compact copy.
-    return EnergySolution(float(e[0]), x[0].copy(), dual[0], float(gap[0]))
+    return EnergySolution(float(e[0]), x[0], dual[0], float(gap[0]))
 
 
 def energy(ops: ChannelOperators, s) -> EnergySolution:
@@ -224,39 +246,88 @@ def energy(ops: ChannelOperators, s) -> EnergySolution:
     return solve_energy_qp(ops, s)
 
 
-def _all_patterns(n: int, start: int, stop: int) -> np.ndarray:
-    codes = np.arange(start, stop, dtype=np.int64)
-    bits = (codes[:, None] >> np.arange(n - 1, -1, -1)[None, :]) & 1
-    return bits * 2.0 - 1.0
+def _rotations(codes: np.ndarray, n: int):
+    """The n-bit codes rotated left by 0, 1, ..., n-1 places, one array each."""
+    mask = (1 << n) - 1
+    for k in range(n):
+        yield ((codes << k) | (codes >> (n - k))) & mask
+
+
+def _least_rotation(codes: np.ndarray, n: int) -> np.ndarray:
+    least = codes.copy()
+    for rotated in _rotations(codes, n):
+        np.minimum(least, rotated, out=least)
+    return least
+
+
+def _necklaces(n: int):
+    """Binary necklaces of length n in increasing order, with their periods.
+
+    Iterative FKM: raise the last 0 of the current prenecklace to 1 and repeat
+    the prefix that ends there, of length p, periodically to length n.  The
+    result is a necklace exactly when p divides n, and then p is its period.
+    """
+    mask = (1 << n) - 1
+    reps = [-(-n // p) for p in range(1, n + 1)]
+    repunit = [0] + [((1 << (r * p)) - 1) // ((1 << p) - 1) for p, r in enumerate(reps, 1)]
+    excess = [0] + [r * p - n for p, r in enumerate(reps, 1)]
+    codes, periods, word = [0], [1], 0
+    while word != mask:
+        ones = (word ^ (word + 1)).bit_length() - 1  # trailing 1s
+        p = n - ones
+        word = (((word >> ones) + 1) * repunit[p]) >> excess[p]
+        if n % p == 0:
+            codes.append(word)
+            periods.append(p)
+    return np.array(codes, dtype=np.int64), np.array(periods, dtype=np.int64)
+
+
+def _orbits(n: int):
+    """The least code of each orbit of {-1, +1}^n under rotation and negation,
+    increasing, and the orbit sizes (they sum to 2^n)."""
+    codes, periods = _necklaces(n)
+    complement = _least_rotation(codes ^ ((1 << n) - 1), n)
+    keep = codes <= complement
+    codes, periods, complement = codes[keep], periods[keep], complement[keep]
+    return codes, np.where(codes == complement, periods, 2 * periods)
 
 
 def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
-    """Compute E(s) for every pattern of length N (N <= ENUMERATION_CAP)."""
+    """E(s) for every pattern of length N (N <= ENUMERATION_CAP), one solve per
+    orbit under rotation and negation."""
     n = ops.n
     if n > ENUMERATION_CAP:
         raise TooLarge(f"exhaustive enumeration capped at N={ENUMERATION_CAP}")
-    total = 1 << n
-    energies = np.empty(total)
-    chunk_sums = []
-    for start in range(0, total, _CHUNK):
-        stop = min(start + _CHUNK, total)
-        pats = _all_patterns(n, start, stop)
+    codes, mult = _orbits(n)
+    energies = np.empty(codes.size)
+    for start in range(0, codes.size, _CHUNK):
+        bits = (codes[start : start + _CHUNK, None] >> np.arange(n - 1, -1, -1)) & 1
+        pats = bits * 2.0 - 1.0
         vals = ops.delta**2 * _quadratic_form_rows(ops, pats)
         if not ops.dd_flag:
             # Only rows whose closed-form dual has a negative entry need pivots.
             duals = 2.0 * pats * _gram_apply(ops, ops.delta * pats)
             bad = np.flatnonzero(duals.min(axis=1) < -_dual_tol(ops))
             vals[bad] = _solve(ops, pats[bad])[1]
-        energies[start:stop] = vals
-        chunk_sums.append(math.fsum(vals.tolist()))
+        energies[start : start + _CHUNK] = vals
 
     e_min = float(energies.min())
-    e_max = float(energies.max())
-    e_mean = math.fsum(chunk_sums) / total
-    min_count = int(np.count_nonzero(energies <= e_min * (1 + MIN_TIE_TOL)))
-    energies.flags.writeable = False
+    # Veltkamp split: each half of E has at most 26 significant bits, so its
+    # product with an orbit size is exact and fsum rounds sum(size * E) once.
+    split = energies * 134217729.0
+    high = split - (split - energies)
+    weighted = np.concatenate([mult * high, mult * (energies - high)])
+    for arr in (codes, mult, energies):
+        arr.flags.writeable = False
     return EnergyProfile(
-        energies=energies, e_min=e_min, e_max=e_max, e_mean=e_mean, min_count=min_count
+        n=n,
+        orbit_codes=codes,
+        multiplicity=mult,
+        orbit_energies=energies,
+        e_min=e_min,
+        e_max=float(energies.max()),
+        e_mean=math.fsum(weighted.tolist()) / (1 << n),
+        min_count=int(mult[energies <= e_min * (1 + MIN_TIE_TOL)].sum()),
     )
 
 

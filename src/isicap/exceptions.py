@@ -19,8 +19,9 @@ class NotDiagonallyDominant(IsicapError):
 
 
 class NoConvergence(IsicapError):
-    """The active-set QP solver spent its pivot budget before its duality gap
-    met the tolerance.  Carries the gap it reached."""
+    """An iterative solve spent its budget before meeting its tolerance: the
+    active-set QP solver's pivots (carries the duality gap it reached), or the
+    Gibbs multiplier search's weighted passes (gap is None)."""
 
     def __init__(self, message, gap=None):
         super().__init__(message)

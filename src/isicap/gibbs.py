@@ -15,6 +15,12 @@ power axis: below the floor e_min/N nothing is feasible; exactly at the floor
 the mass sits uniformly on the minimizers; between floor and mean a unique
 interior beta solves <E> = N*P; at or above the mean the uniform distribution
 wins and the rate saturates at 1 bit/use.
+
+The sums over patterns run over the profile's orbits under rotation and
+negation, each term weighted by the orbit's size.  ln Z is convex in beta and
+d<E>/dbeta = -Var(E)/N, so one weighted pass gives both the residual of
+<E> = N*P and its derivative; the interior beta is found by Newton steps kept
+inside a bracket, with bisection or doubling whenever a step leaves it.
 """
 
 import enum
@@ -25,15 +31,16 @@ import numpy as np
 
 from .channel import ChannelOperators
 from .energy import EnergyProfile, enumerate_profile
-from .exceptions import InfeasiblePower
+from .exceptions import InfeasiblePower, NoConvergence
 
 # Relative tolerance deciding the exact-floor and infeasible classifications.
 BOUNDARY_TOL = 1e-9
 
-# Interior bisection stops when <E> matches N*P within this relative tolerance.
+# The interior solve stops when <E> matches N*P within this relative tolerance.
 BETA_MATCH_TOL = 1e-10
 
-_BISECT_MAX_ITER = 200
+# Weighted passes the interior solve may spend before it raises NoConvergence.
+_NEWTON_MAX_ITER = 100
 
 
 class Regime(enum.Enum):
@@ -45,28 +52,39 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class GibbsSolution:
-    """Solved operating point: multiplier, log-normalizer, entropy, regime."""
+    """Solved operating point: multiplier, log-normalizer, entropy, regime, and
+    for the interior solve its weighted passes and final |<E> - NP| / NP."""
 
     gibbs_beta: float
     log_partition: float
     entropy_bits_per_use: float
     avg_energy_per_use: float
     regime: Regime
+    iterations: int = 0
+    residual: float = 0.0
+
+
+def _moments(profile: EnergyProfile, beta: float, n: int):
+    """ln Z, <E> and Var(E) at multiplier beta, from one pass over the orbits
+    with the max exponent factored out."""
+    e = profile.orbit_energies
+    a = -beta * e / n
+    m = float(np.max(a))
+    w = profile.multiplicity * np.exp(a - m)
+    total = float(np.sum(w))
+    mean = float(e @ w) / total
+    var = float((e - mean) ** 2 @ w) / total
+    return m + math.log(total), mean, var
 
 
 def log_partition(profile: EnergyProfile, beta: float, n: int) -> float:
-    """ln sum_s exp(-beta E(s)/n), stabilized by factoring the max exponent."""
-    a = -beta * profile.energies / n
-    m = float(np.max(a))
-    return m + math.log(float(np.sum(np.exp(a - m))))
+    """ln sum_s exp(-beta E(s)/n)."""
+    return _moments(profile, beta, n)[0]
 
 
 def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
     """Gibbs-average total energy sum_s E(s) P(s) at multiplier beta."""
-    a = -beta * profile.energies / n
-    m = float(np.max(a))
-    w = np.exp(a - m)
-    return float((profile.energies @ w) / np.sum(w))
+    return _moments(profile, beta, n)[1]
 
 
 def solve_beta(profile: EnergyProfile, power: float, n: int) -> GibbsSolution:
@@ -100,31 +118,36 @@ def solve_beta(profile: EnergyProfile, power: float, n: int) -> GibbsSolution:
             regime=Regime.MIN_ENERGY_BOUNDARY,
         )
 
-    # Interior: avg_energy(beta) is strictly decreasing (derivative is
-    # -Var(E)/n), so double to bracket and bisect.
-    hi = 1.0
-    while avg_energy(profile, hi, n) > np_budget:
-        hi *= 2.0
-    lo = 0.0
-    beta = hi
-    for _ in range(_BISECT_MAX_ITER):
-        beta = 0.5 * (lo + hi)
-        val = avg_energy(profile, beta, n)
-        if abs(val - np_budget) <= BETA_MATCH_TOL * np_budget:
+    # Interior: <E>(beta) falls strictly from e_mean at beta = 0 toward e_min,
+    # and [lo, hi] brackets its root.
+    lo, hi, beta = 0.0, math.inf, 0.0
+    for iterations in range(1, _NEWTON_MAX_ITER + 1):
+        ln_z, mean, var = _moments(profile, beta, n)
+        residual = abs(mean - np_budget) / np_budget
+        if residual <= BETA_MATCH_TOL:
             break
-        if val > np_budget:
+        if mean > np_budget:
             lo = beta
         else:
             hi = beta
+        beta = beta + (mean - np_budget) * n / var if var > 0.0 else math.inf
+        if not lo < beta < hi:
+            beta = 0.5 * (lo + hi) if hi < math.inf else max(2.0 * lo, 1.0)
+    else:
+        raise NoConvergence(
+            f"Gibbs solve at power {power:.6g}: <E> still misses N*P after "
+            f"{_NEWTON_MAX_ITER} passes (bracket [{lo:.6g}, {hi:.6g}])"
+        )
 
-    ln_z = log_partition(profile, beta, n)
     entropy_nats = beta * power + ln_z
     return GibbsSolution(
         gibbs_beta=beta,
         log_partition=ln_z,
         entropy_bits_per_use=entropy_nats / (n * math.log(2.0)),
-        avg_energy_per_use=avg_energy(profile, beta, n) / n,
+        avg_energy_per_use=mean / n,
         regime=Regime.GIBBS_INTERIOR,
+        iterations=iterations,
+        residual=residual,
     )
 
 

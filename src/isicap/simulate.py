@@ -31,8 +31,8 @@ class NoisySimConfig:
     alpha: float = 0.5
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         if self.num_symbols <= 0:
             raise ValueError("num_symbols must be positive")
         if not 0.0 <= self.alpha <= 1.0:

@@ -1,10 +1,15 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import isicap.cli as cli
+import isicap.gibbs as gibbs
 from isicap import SimReport
 
 
@@ -148,6 +153,35 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.8")
     assert code == 3
     assert "numerical" in err
+
+
+def test_gibbs_budget_exhausted_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(gibbs, "_NEWTON_MAX_ITER", 0)
+    code, out, err = run_cli(capsys, "capacity", "--taps", "1,0.2", "--grid", "0.8")
+    assert code == 3
+    assert out == ""
+    assert "numerical" in err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_non_finite_sigma_rejected(capsys, sigma):
+    code, out, err = run_cli(
+        capsys, "validate", "--taps", "1,0.2", "--sigma", sigma, "--symbols", "1200"
+    )
+    assert code == 1
+    assert out == ""
+    assert "finite" in err
+
+
+def test_module_entry_point():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-m", "isicap", "energy", "--taps", "1,0.2", "--n", "6"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("# isicap energy taps=1.0,0.2")
 
 
 def test_usage_error_exit_code(capsys):

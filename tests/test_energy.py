@@ -1,5 +1,7 @@
 """Energy QP: analytic path, active-set solver, exhaustive profiles."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -20,6 +22,7 @@ from isicap import (
     pattern_from_code,
     solve_energy_qp,
 )
+from isicap.energy import MIN_TIE_TOL, _orbits
 from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
@@ -191,11 +194,14 @@ def test_qp_property_against_nnls(case, shift):
         assert moved.energy == pytest.approx(sol.energy, rel=1e-12)
 
 
-def test_pattern_validation(two_tap_ops):
+def test_pattern_validation(two_tap_ops, two_tap_profile):
     with pytest.raises(ValueError):
         solve_energy_qp(two_tap_ops, np.zeros(12))
     with pytest.raises(ValueError):
         analytic_energy(two_tap_ops, np.ones(5))
+    for bad in (np.zeros(12), np.ones(3)):
+        with pytest.raises(ValueError):
+            two_tap_profile.energy_of(bad)
 
 
 def test_two_tap_profile_facts(two_tap_profile):
@@ -249,3 +255,45 @@ def test_delta_scaling_profile():
 def test_profile_energies_read_only(two_tap_profile):
     with pytest.raises(ValueError):
         two_tap_profile.energies[0] = -1.0
+
+
+@pytest.mark.parametrize("n, count", [(12, 180), (14, 596), (16, 2068), (20, 26272)])
+def test_orbit_counts_match_burnside(n, count):
+    codes, mult = _orbits(n)
+    assert codes.size == count
+    assert int(mult.sum()) == 1 << n
+    assert np.all(np.diff(codes) > 0)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_orbits_against_brute_force(n):
+    # Least code of each orbit under rotation and negation, and orbit sizes.
+    mask = (1 << n) - 1
+    sizes = {}
+    for code in range(1 << n):
+        rotations = [((code << k) | (code >> (n - k))) & mask for k in range(n)]
+        least = min(rotations + [r ^ mask for r in rotations])
+        sizes[least] = sizes.get(least, 0) + 1
+    codes, mult = _orbits(n)
+    assert codes.tolist() == sorted(sizes)
+    assert mult.tolist() == [sizes[c] for c in sorted(sizes)]
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, 0.8), (-0.3, 1.0, 0.6)])
+@pytest.mark.parametrize("n", [5, 8, 10])
+def test_orbit_profile_matches_per_code_enumeration(taps, n):
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    brute = np.array([energy(ops, pattern_from_code(c, n)).energy for c in range(1 << n)])
+    prof = enumerate_profile(ops)
+    assert prof.n == n
+    np.testing.assert_allclose(prof.energies, brute, rtol=1e-12)
+    assert prof.e_min == pytest.approx(brute.min(), rel=1e-12)
+    assert prof.e_max == pytest.approx(brute.max(), rel=1e-12)
+    assert prof.e_mean == pytest.approx(math.fsum(brute.tolist()) / (1 << n), rel=1e-12)
+    tied = np.flatnonzero(brute <= brute.min() * (1 + MIN_TIE_TOL))
+    assert prof.min_count == tied.size
+    np.testing.assert_array_equal(prof.minimizer_codes(), tied)
+    # e_mean is the correctly rounded mean of the expanded energies.
+    assert prof.e_mean == math.fsum(prof.energies.tolist()) / (1 << n)
+    for code in range(0, 1 << n, 3):
+        assert prof.energy_of(pattern_from_code(code, n)) == prof.energies[code]

@@ -4,15 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import isicap.gibbs as gibbs
 from isicap import (
     ChannelSpec,
     InfeasiblePower,
+    NoConvergence,
     Regime,
     avg_energy,
     build_operators,
     capacity,
     capacity_curve,
+    enumerate_profile,
     log_partition,
     solve_beta,
 )
@@ -123,3 +128,93 @@ def test_beta_scale_invariance(two_tap_profile):
 def test_non_finite_power_rejected(two_tap_profile, power):
     with pytest.raises(ValueError):
         solve_beta(two_tap_profile, power, N)
+
+
+def _gibbs_weights(energies, beta, n):
+    a = -beta * energies / n
+    w = np.exp(a - a.max())
+    return w / w.sum()
+
+
+def _bisect_beta(energies, budget, n):
+    """Reference root of <E>(beta) = budget over the per-pattern energies,
+    bisected until the bracket stops shrinking."""
+    lo, hi = 0.0, 1.0
+    while energies @ _gibbs_weights(energies, hi, n) > budget:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            return mid
+        if energies @ _gibbs_weights(energies, mid, n) > budget:
+            lo = mid
+        else:
+            hi = mid
+
+
+# On (1, 0.5, 0.9) at N = 5 the first Newton step from beta = 0 lands below
+# the bracket for powers in the lower half of the band, so bisection takes over.
+@pytest.mark.parametrize(
+    "taps, n", [((1.0, 0.2), 10), ((1.0, 0.8), 10), ((-0.3, 1.0, 0.6), 10), ((1.0, 0.5, 0.9), 5)]
+)
+def test_newton_matches_reference_bisection(taps, n):
+    prof = enumerate_profile(build_operators(ChannelSpec(taps, 0.3, n)))
+    energies = prof.energies
+    for frac in (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
+        power = (prof.e_min + frac * (prof.e_mean - prof.e_min)) / n
+        budget = n * power
+        sol = solve_beta(prof, power, n)
+        assert sol.regime is Regime.GIBBS_INTERIOR
+        assert 1 <= sol.iterations <= gibbs._NEWTON_MAX_ITER
+        assert sol.residual <= gibbs.BETA_MATCH_TOL
+        # Newton stops once |<E> - NP| <= tol * NP, which to first order puts
+        # beta within tol * NP * N / Var(E) of the root bisected here; the
+        # entropy error is second order.
+        w = _gibbs_weights(energies, sol.gibbs_beta, n)
+        mean = float(energies @ w)
+        assert abs(mean - budget) <= gibbs.BETA_MATCH_TOL * budget * (1 + 1e-6)
+        var = float((energies - mean) ** 2 @ w)
+        beta = _bisect_beta(energies, budget, n)
+        assert abs(sol.gibbs_beta - beta) <= 2 * gibbs.BETA_MATCH_TOL * budget * n / var
+        p = _gibbs_weights(energies, beta, n)
+        p = p[p > 0.0]
+        entropy = -float(p @ np.log(p)) / (n * math.log(2.0))
+        assert sol.entropy_bits_per_use == pytest.approx(entropy, rel=1e-9, abs=1e-12)
+
+
+def test_non_interior_regimes_report_no_iterations(two_tap_profile):
+    for p in (two_tap_profile.e_min / N, two_tap_profile.e_mean / N):
+        sol = solve_beta(two_tap_profile, p, N)
+        assert (sol.iterations, sol.residual) == (0, 0.0)
+
+
+def test_exhausted_budget_raises(two_tap_profile, monkeypatch):
+    power = 0.5 * (two_tap_profile.e_min + two_tap_profile.e_mean) / N
+    monkeypatch.setattr(gibbs, "_NEWTON_MAX_ITER", 0)
+    with pytest.raises(NoConvergence):
+        solve_beta(two_tap_profile, power, N)
+
+
+# Small well-conditioned channels: 0.1 <= |f| and max|f| <= 10 min|f|.
+@st.composite
+def _small_channels(draw):
+    taps = tuple(draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3)))
+    n = draw(st.integers(max(3, len(taps)), 8))
+    gains = np.abs(np.fft.fft(np.pad(taps, (0, n - len(taps)))))
+    assume(gains.min() >= max(0.1, 0.1 * gains.max()))
+    return taps, n
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(_small_channels())
+def test_capacity_nondecreasing_and_concave_in_power(case):
+    taps, n = case
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    prof = enumerate_profile(ops)
+    floor, mean = prof.e_min / n, prof.e_mean / n
+    assume(mean > floor * (1 + 1e-6))
+    grid = [floor + k * (mean - floor) / 12 for k in range(15)]
+    caps = [sol.entropy_bits_per_use for _, sol in capacity_curve(ops, grid)]
+    assert all(b >= a - 1e-12 for a, b in zip(caps, caps[1:]))
+    # On an evenly spaced grid a concave curve has nonpositive second differences.
+    assert all(a + c - 2 * b <= 1e-9 for a, b, c in zip(caps, caps[1:], caps[2:]))

@@ -34,6 +34,12 @@ def test_config_validation():
         NoisySimConfig(sigma=0.1, num_symbols=100, alpha=1.5)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf])
+def test_non_finite_sigma_rejected(sigma):
+    with pytest.raises(ValueError):
+        NoisySimConfig(sigma=sigma, num_symbols=100)
+
+
 def test_deterministic_reruns(two_tap_ops):
     cfg = NoisySimConfig(sigma=0.12, num_symbols=50_000, seed=42)
     a = simulate_zero_forcing(two_tap_ops, cfg)
