@@ -64,8 +64,7 @@ from .simulate import (
     simulate_zero_forcing,
 )
 from .spectral import (
-    QuadratureResult,
-    integrate_periodic,
+    inverse_spectrum_coeffs,
     pbar_asymptotic,
     pbar_two_tap,
     pmin_two_tap,
@@ -87,7 +86,6 @@ __all__ = [
     "NoisySimConfig",
     "NotDiagonallyDominant",
     "QuadratureFailure",
-    "QuadratureResult",
     "Regime",
     "SimReport",
     "SingularChannel",
@@ -107,7 +105,7 @@ __all__ = [
     "entropy_rate_bits",
     "enumerate_profile",
     "frequency_response",
-    "integrate_periodic",
+    "inverse_spectrum_coeffs",
     "log_partition",
     "mean_energy_trace",
     "pattern_from_code",

@@ -55,18 +55,21 @@ _FIG4_MARKOV_X = (
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One subcommand's parsed flags; the parser supplies every default, and
+    fields the subcommand has no flag for are None."""
+
     taps: tuple
-    delta: float = 0.3
-    block_len: int = 12
-    power_grid: tuple = ()
-    sigma: float = 0.0
-    seed: int = 0
-    output_path: str = ""
-    alpha: float = 0.5
-    num_symbols: int = 1_000_000
-    dump_energies: bool = False
-    raw_units: bool = False
-    power_model: str = "asymptotic"
+    delta: float
+    block_len: int
+    power_grid: tuple
+    sigma: float
+    seed: int
+    output_path: str
+    alpha: float
+    num_symbols: int
+    dump_energies: bool
+    raw_units: bool
+    power_model: str
 
 
 def _fmt(x) -> str:
@@ -233,7 +236,7 @@ def _fig4_lines(block_len: int):
     return lines
 
 
-def cmd_figures(which: str, block_len: int = 12):
+def cmd_figures(which: str, block_len: int):
     if which == "fig3":
         return _fig3_lines(block_len), EXIT_OK
     if which == "fig4":
@@ -299,6 +302,12 @@ def _build_parser() -> _Parser:
         "--symbols", type=int, default=1_000_000, help="symbol budget (default 1e6)"
     )
 
+    # Flags that only some subcommands have read as None in the others.
+    parser.set_defaults(
+        grid=None, raw_units=None, sigma=None, alpha=None, symbols=None,
+        dump_energies=None, power_model=None,
+    )
+
     p = sub.add_parser("figures", help="reference CSV data for the standard channels")
     p.add_argument("which", choices=("fig3", "fig4"))
     p.add_argument("--n", type=int, default=12, help="block length (default 12)")
@@ -311,15 +320,15 @@ def _config_from_args(args) -> RunConfig:
         taps=_parse_taps(args.taps),
         delta=args.delta,
         block_len=args.n,
-        power_grid=_parse_grid(args.grid) if getattr(args, "grid", None) else (),
-        sigma=getattr(args, "sigma", 0.0),
+        power_grid=_parse_grid(args.grid) if args.grid else (),
+        sigma=args.sigma,
         seed=args.seed,
         output_path=args.out,
-        alpha=getattr(args, "alpha", 0.5),
-        num_symbols=getattr(args, "symbols", 1_000_000),
-        dump_energies=getattr(args, "dump_energies", False),
-        raw_units=getattr(args, "raw_units", False),
-        power_model=getattr(args, "power_model", "asymptotic"),
+        alpha=args.alpha,
+        num_symbols=args.symbols,
+        dump_energies=args.dump_energies,
+        raw_units=args.raw_units,
+        power_model=args.power_model,
     )
 
 

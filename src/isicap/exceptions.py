@@ -42,5 +42,5 @@ class InfeasiblePower(IsicapError):
 
 
 class QuadratureFailure(IsicapError):
-    """The periodic trapezoid rule could not meet its tolerance within the grid
-    budget."""
+    """The Fourier coefficients of 1/|f|^2 did not decay to round-off within
+    the sample-grid cap, so the spectral series cannot be truncated."""

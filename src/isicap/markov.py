@@ -9,10 +9,15 @@ The cost is the transmit power
     P_zm(alpha) = delta^2/N * tr(R M_h^{-1} M_h^{-T}),   R_ij = rho^|i-j|,
 
 evaluated exactly through the circulant autocorrelation of the inverse
-impulse response, and converging as N grows to the spectral integral
+impulse response.  As N grows it converges to the spectral integral
 
     delta^2/(2*pi) * integral 1/|f|^2 * [2(1 - rho cos) / (1 + rho^2
-                                          - 2 rho cos) - 1].
+                                          - 2 rho cos) - 1]
+        = delta^2 * (g_0 + 2 sum_{d>=1} rho^d g_d),
+
+where g_d are the cosine coefficients of 1/|f|^2 from
+spectral.inverse_spectrum_coeffs; the series is summed by Horner's method
+and stays accurate uniformly in rho, with closed forms at rho = +-1.
 
 The best rate under a power budget maximizes H2(alpha) subject to
 P_zm(alpha) <= P; since H2 peaks at 1/2 and the power is monotone on each
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperators, ChannelSpec, build_operators
+from .channel import ChannelOperators, ChannelSpec, build_operators, frequency_response
 from .exceptions import TooLarge
-from .spectral import QUAD_TOL, integrate_periodic, pbar_two_tap, pmin_two_tap
+from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
 
 # Cap on exact finite-N power evaluation (O(N log N), but the correlation
 # tail is materialized densely in N).
@@ -85,51 +90,28 @@ def power_finite_n(ops: ChannelOperators, scheme: MarkovScheme) -> float:
     return ops.delta**2 * total / n
 
 
-def power_asymptotic(spec: ChannelSpec, scheme: MarkovScheme, tol: float = QUAD_TOL) -> float:
-    """Large-N limit of the zero-forcing power for the Markov source.
+def _series_power(spec: ChannelSpec, coeffs: list, rho: float) -> float:
+    """delta^2 * (g_0 + 2 sum_d rho^d g_d) for the coefficients of 1/|f|^2.
 
     At rho = +-1 the spectral kernel degenerates to a point mass at lam = 0
     (resp. pi), giving delta^2/|f(0)|^2 (resp. delta^2/|f(pi)|^2) exactly.
     """
-    from .channel import frequency_response
-
-    rho = scheme.rho
     if rho == 1.0:
         return spec.delta**2 / abs(frequency_response(spec, 0.0)) ** 2
     if rho == -1.0:
         return spec.delta**2 / abs(frequency_response(spec, math.pi)) ** 2
-
-    def integrand(lam):
-        c = np.cos(lam)
-        kernel = 2.0 * (1.0 - rho * c) / (1.0 + rho * rho - 2.0 * rho * c) - 1.0
-        return kernel / np.abs(frequency_response(spec, lam)) ** 2
-
-    res = integrate_periodic(integrand, tol=tol)
-    return spec.delta**2 / (2.0 * np.pi) * res.value
+    acc = 0.0
+    for g in reversed(coeffs[1:]):
+        acc = acc * rho + g
+    return spec.delta**2 * (coeffs[0] + 2.0 * rho * acc)
 
 
-# Fourier-coefficient grid for the series form of the asymptotic power.  The
-# coefficients of 1/|f|^2 decay geometrically at the channel's pole radius,
-# so 2^16 samples leave aliasing far below double precision for any channel
-# that is not already near-singular.
-_SERIES_GRID = 1 << 16
+def power_asymptotic(spec: ChannelSpec, scheme: MarkovScheme) -> float:
+    """Large-N limit of the zero-forcing power for the Markov source.
 
-
-def _spectral_power_coeffs(spec: ChannelSpec) -> np.ndarray:
-    """Cosine-series coefficients of 1/|f|^2: entry d is its lag-d Fourier
-    coefficient, truncated once the tail is below 1e-18 relative.
-
-    Rewriting the asymptotic power as delta^2 * (g_0 + 2 sum_d rho^d g_d)
-    stays accurate uniformly in rho, including the rho -> +-1 limits where
-    the spectral kernel degenerates and direct quadrature cannot resolve it.
+    Raises SingularChannel if the channel has a spectral null.
     """
-    from .channel import frequency_response
-
-    lam = 2.0 * np.pi * np.arange(_SERIES_GRID) / _SERIES_GRID
-    vals = 1.0 / np.abs(frequency_response(spec, lam)) ** 2
-    coeffs = np.fft.ifft(vals).real[: _SERIES_GRID // 2]
-    keep = np.nonzero(np.abs(coeffs) > 1e-18 * coeffs[0])[0]
-    return coeffs[: keep[-1] + 1]
+    return _series_power(spec, inverse_spectrum_coeffs(spec).tolist(), scheme.rho)
 
 
 def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "asymptotic"):
@@ -137,20 +119,17 @@ def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "
 
     power_model selects the constraint: "asymptotic" uses the spectral-limit
     power (the definition of the rate), "finite" uses the exact block-length
-    power at spec.block_len, which is what a length-N system pays.
+    power at spec.block_len, which is what a length-N system pays.  Either
+    model raises SingularChannel where its power is unbounded: a spectral
+    null anywhere on the unit circle, or at a DFT bin of length N.
     """
     if not math.isfinite(power):
         raise ValueError(f"power must be finite, got {power!r}")
     if power_model == "asymptotic":
-        coeffs = _spectral_power_coeffs(spec)
-        tail = coeffs[1:]
-        d = np.arange(1, coeffs.size)
+        coeffs = inverse_spectrum_coeffs(spec).tolist()
 
         def power_of(alpha):
-            rho = 2.0 * alpha - 1.0
-            if abs(rho) == 1.0:
-                return power_asymptotic(spec, MarkovScheme(alpha))
-            return spec.delta**2 * float(coeffs[0] + 2.0 * np.sum(rho**d * tail))
+            return _series_power(spec, coeffs, 2.0 * alpha - 1.0)
     elif power_model == "finite":
         ops = build_operators(spec)
 

@@ -1,70 +1,69 @@
-"""Periodic quadrature and the asymptotic power thresholds.
+"""The Fourier series of 1/|f|^2 and the asymptotic power thresholds.
 
-For smooth 2*pi-periodic integrands the uniform trapezoid rule (equivalently
-the left-endpoint rectangle rule) converges geometrically, so a doubling grid
-with a self-consistency stop is both simple and tight.  The zero-forcing
-power ceiling is
+Every large-N zero-forcing power is a weighted mean of 1/|f(lam)|^2 over the
+unit circle, so it reads off the cosine coefficients
 
-    Pbar = delta^2/(2*pi) * integral 1/|f(lam)|^2 dlam,
+    g_d = 1/(2*pi) * integral 1/|f(lam)|^2 cos(d*lam) dlam.
+
+For a channel without spectral nulls these decay geometrically, at a rate
+set by the root of f nearest the unit circle.  A uniform grid of m samples
+therefore gives g_0 .. g_{m/4} to round-off once the upper quarter of its
+spectrum has decayed to round-off, since aliasing folds in only g_{3m/4}
+and beyond.  The zero-forcing power ceiling is
+
+    Pbar = delta^2/(2*pi) * integral 1/|f(lam)|^2 dlam = delta^2 * g_0,
 
 with the two-tap channel (1, eps) admitting closed forms
 Pbar = delta^2/(1-eps^2) and floor Pmin = delta^2/(1+eps)^2.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .channel import ChannelSpec, frequency_response
-from .exceptions import QuadratureFailure
+from .channel import SINGULAR_TOL, ChannelSpec, frequency_response
+from .exceptions import QuadratureFailure, SingularChannel
 
-QUAD_TOL = 1e-10
+# Coefficients at or below this fraction of max 1/|f|^2 are FFT round-off.
+ROUNDOFF_FLOOR = 1e-15
 
-_GRID_START = 1 << 10
+_GRID_START = 1 << 6
 _GRID_MAX = 1 << 20
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    grid_size: int
-    est_error: float
+def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
+    """Cosine coefficients g_0 .. g_D of 1/|f|^2, cut after the last one above
+    round-off.
 
-
-def integrate_periodic(f, tol: float = QUAD_TOL) -> QuadratureResult:
-    """Integrate a vectorized periodic function over [0, 2*pi).
-
-    Doubles the uniform grid, reusing previous evaluations, until two
-    successive grid levels agree within tol (absolute on the integral).
+    Doubles a uniform sample grid until the upper quarter of the sampled
+    spectrum is at or below ROUNDOFF_FLOOR * max 1/|f|^2.  Raises
+    SingularChannel if min |f| on a grid is below SINGULAR_TOL * max |f| (the
+    rule of build_operators), and QuadratureFailure if the coefficients have
+    not decayed by _GRID_MAX samples.
     """
     m = _GRID_START
-    lam = 2.0 * np.pi * np.arange(m) / m
-    mean = float(np.mean(f(lam)))
-    value = 2.0 * np.pi * mean
-    while 2 * m <= _GRID_MAX:
-        # Midpoints of the current grid supply the other half of the 2m rule.
-        mid = lam + np.pi / m
-        mid_mean = float(np.mean(f(mid)))
-        new_value = np.pi * (mean + mid_mean)
-        est = abs(new_value - value)
+    while True:
+        mags = np.abs(frequency_response(spec, 2.0 * np.pi * np.arange(m) / m))
+        if np.min(mags) <= SINGULAR_TOL * np.max(mags):
+            raise SingularChannel(
+                f"|f| ranges over [{np.min(mags):.3e}, {np.max(mags):.3e}] on "
+                f"{m} frequencies; the zero-forcing power is unbounded"
+            )
+        vals = 1.0 / mags**2
+        floor = ROUNDOFF_FLOOR * np.max(vals)
+        coeffs = np.fft.rfft(vals).real / m
+        if np.max(np.abs(coeffs[m // 4 :])) <= floor:
+            break
+        if m >= _GRID_MAX:
+            raise QuadratureFailure(
+                f"the Fourier coefficients of 1/|f|^2 did not decay to round-off "
+                f"within {_GRID_MAX} grid points"
+            )
         m *= 2
-        lam = 2.0 * np.pi * np.arange(m) / m
-        mean = 0.5 * (mean + mid_mean)
-        value = new_value
-        if est <= tol:
-            return QuadratureResult(value=value, grid_size=m, est_error=est)
-    raise QuadratureFailure(
-        f"no convergence to tol={tol:.1e} within {_GRID_MAX} grid points"
-    )
+    return coeffs[: np.nonzero(np.abs(coeffs) > floor)[0][-1] + 1]
 
 
-def pbar_asymptotic(spec: ChannelSpec, tol: float = QUAD_TOL) -> float:
-    """Zero-forcing power ceiling delta^2/(2*pi) * integral 1/|f|^2."""
-    def integrand(lam):
-        return 1.0 / np.abs(frequency_response(spec, lam)) ** 2
-
-    res = integrate_periodic(integrand, tol=tol)
-    return spec.delta**2 / (2.0 * np.pi) * res.value
+def pbar_asymptotic(spec: ChannelSpec) -> float:
+    """Zero-forcing power ceiling delta^2/(2*pi) * integral 1/|f|^2 = delta^2 g_0."""
+    return spec.delta**2 * float(inverse_spectrum_coeffs(spec)[0])
 
 
 def pbar_two_tap(epsilon: float, delta: float) -> float:

@@ -87,6 +87,14 @@ def test_markov_power_model_flag(capsys):
     assert rate_a > rate_f  # the length-12 constraint is the stricter one
 
 
+@pytest.mark.parametrize("taps", ["1,-1", "1,1", "1,0.9999999999"])
+def test_markov_spectral_null_rejected(capsys, taps):
+    code, out, err = run_cli(capsys, "markov", f"--taps={taps}", "--grid", "0.5,1,4")
+    assert code == 1
+    assert out == ""
+    assert "zero-forcing power is unbounded" in err
+
+
 def test_energy_summary(capsys):
     code, out, _ = run_cli(capsys, "energy", "--taps", "1,0.2")
     assert code == 0

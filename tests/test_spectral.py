@@ -1,75 +1,17 @@
-"""Periodic quadrature and the closed-form power thresholds."""
+"""The Fourier series of 1/|f|^2 and the closed-form power thresholds."""
 
-import math
-
-import numpy as np
 import pytest
-from scipy.special import i0
 
+import isicap.spectral as spectral
 from isicap import (
     ChannelSpec,
     QuadratureFailure,
-    integrate_periodic,
+    SingularChannel,
+    inverse_spectrum_coeffs,
     pbar_asymptotic,
     pbar_two_tap,
     pmin_two_tap,
 )
-
-
-def test_constant_function():
-    res = integrate_periodic(lambda lam: np.ones_like(lam))
-    assert res.value == pytest.approx(2 * math.pi, rel=1e-15)
-    assert res.est_error <= 1e-10
-
-
-def test_cosine_squared():
-    res = integrate_periodic(lambda lam: np.cos(lam) ** 2)
-    assert res.value == pytest.approx(math.pi, rel=1e-13)
-
-
-def test_poisson_integral():
-    # 1/|1 + 0.2 e^{j lam}|^2 integrates to 2 pi / (1 - 0.04).
-    def f(lam):
-        return 1.0 / np.abs(1.0 + 0.2 * np.exp(1j * lam)) ** 2
-
-    res = integrate_periodic(f)
-    assert res.value == pytest.approx(2 * math.pi / 0.96, rel=1e-13)
-
-
-def test_bessel_moment():
-    res = integrate_periodic(lambda lam: np.exp(np.cos(lam)))
-    assert res.value == pytest.approx(2 * math.pi * i0(1.0), rel=1e-13)
-
-
-def test_grid_size_is_power_of_two():
-    res = integrate_periodic(lambda lam: np.cos(lam) ** 4)
-    assert res.grid_size & (res.grid_size - 1) == 0
-    assert res.grid_size >= 1 << 11
-
-
-def test_needle_exhausts_budget():
-    # Analyticity strip ~1e-7 wide: no trapezoid refinement within budget
-    # can certify 1e-10, so the failure must surface rather than a bad value.
-    rho = 1.0 - 1e-7
-
-    def needle(lam):
-        return (1 - rho**2) / (1 + rho**2 - 2 * rho * np.cos(lam))
-
-    with pytest.raises(QuadratureFailure):
-        integrate_periodic(needle)
-
-
-def test_loose_tolerance_stops_early():
-    rho = 0.99
-
-    def kernel(lam):
-        return (1 - rho**2) / (1 + rho**2 - 2 * rho * np.cos(lam))
-
-    tight = integrate_periodic(kernel, tol=1e-10)
-    loose = integrate_periodic(kernel, tol=1e-3)
-    assert loose.grid_size < tight.grid_size
-    assert tight.value == pytest.approx(2 * math.pi, rel=1e-9)
-    assert loose.value == pytest.approx(tight.value, abs=2e-3)
 
 
 def test_pbar_two_tap_values():
@@ -95,3 +37,30 @@ def test_pbar_asymptotic_matches_closed_form(eps):
 def test_pbar_asymptotic_single_tap():
     spec = ChannelSpec((2.0,), 0.3, 8)
     assert pbar_asymptotic(spec) == pytest.approx(0.09 / 4.0, rel=1e-13)
+
+
+def test_two_tap_coefficients_and_truncation():
+    # 1/|1 + eps e^{j lam}|^2 has g_d = (-eps)^|d| / (1 - eps^2); the series
+    # stops at the last term above 1e-15 * max 1/|f|^2 = 1e-15 / (1 - eps)^2.
+    eps = 0.8
+    g = inverse_spectrum_coeffs(ChannelSpec((1.0, eps), 0.3, 12))
+    exact = [(-eps) ** d / (1 - eps**2) for d in range(g.size + 1)]
+    assert g == pytest.approx(exact[:-1], abs=1e-14)
+    floor = spectral.ROUNDOFF_FLOOR / (1 - eps) ** 2
+    assert abs(exact[-2]) > floor >= abs(exact[-1])
+
+
+def test_undecayed_series_raises(monkeypatch):
+    # (1, 0.8) needs 145 terms, so a 128-point cap cannot reach round-off.
+    monkeypatch.setattr(spectral, "_GRID_MAX", 128)
+    with pytest.raises(QuadratureFailure):
+        inverse_spectrum_coeffs(ChannelSpec((1.0, 0.8), 0.3, 12))
+
+
+@pytest.mark.parametrize("taps", [(1.0, -1.0), (1.0, 1.0), (1.0, 0.9999999999)])
+def test_spectral_null_rejected(taps):
+    spec = ChannelSpec(taps, 0.3, 12)
+    with pytest.raises(SingularChannel):
+        inverse_spectrum_coeffs(spec)
+    with pytest.raises(SingularChannel):
+        pbar_asymptotic(spec)
