@@ -33,8 +33,9 @@ from .channel import ChannelOperators, ChannelSpec, build_operators, frequency_r
 from .exceptions import TooLarge
 from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
 
-# Cap on exact finite-N power evaluation (O(N log N), but the correlation
-# tail is materialized densely in N).
+# Cap on exact finite-N power evaluation.  The power is two O(N) sums, over
+# the DFT gains and over the correlation tail of the Gram generator; no N x N
+# matrix is formed.
 DENSE_CAP = 4096
 
 _ALPHA_BISECT_TOL = 1e-10

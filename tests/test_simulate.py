@@ -1,18 +1,30 @@
 """Noisy-channel Monte Carlo: determinism, statistics, power accounting."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import ndtri
 
 from isicap import (
+    ChannelSpec,
     MarkovScheme,
     NoisySimConfig,
+    SimReport,
+    apply_channel,
+    apply_inverse,
+    build_operators,
     power_finite_n,
     q_function,
+    quantize,
     simulate_zero_forcing,
 )
+from isicap.simulate import _BLOCK_CHUNK, _markov_signs, _quiet_band
 
 
 def normal_tail(x):
@@ -130,3 +142,85 @@ def test_markov_sign_stream_statistics():
     assert prods.mean() == pytest.approx(0.6, abs=0.01)
     # Initial signs are unbiased across blocks.
     assert abs(signs[:, 0].mean()) < 0.05
+
+
+def reference_simulation(ops, config):
+    """The simulator in its plain form: chunk-wide signs and FFT actions, and
+    ndtri applied to every noise draw before quantizing."""
+    n = ops.n
+    nblocks = -(-config.num_symbols // n)
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    flips = 0
+    energy = 0.0
+    remaining = config.num_symbols
+    done = 0
+    while done < nblocks:
+        take = min(_BLOCK_CHUNK, nblocks - done)
+        b = _markov_signs(rng, take, n, config.alpha)
+        x = ops.delta * apply_inverse(ops, b)
+        k = rng.integers(0, 1 << 53, size=(take, n), dtype=np.int64)
+        noise = config.sigma * ndtri((k + 0.5) * 2.0**-53)
+        decided = quantize(apply_channel(ops, x) + noise)
+        disagreements = (decided != b).astype(np.int64)
+        count = min(remaining, take * n)
+        flips += int(disagreements.ravel()[:count].sum())
+        energy += float(np.sum(x.ravel()[:count] ** 2))
+        remaining -= count
+        done += take
+    p_hat = flips / config.num_symbols
+    return SimReport(
+        empirical_flip_rate=p_hat,
+        theoretical_bound=q_function(ops.delta / config.sigma),
+        std_error=math.sqrt(p_hat * (1.0 - p_hat) / config.num_symbols),
+        measured_power_per_use=energy / config.num_symbols,
+        num_symbols=config.num_symbols,
+    )
+
+
+@pytest.mark.parametrize(
+    "taps, n, symbols, sigma, alpha",
+    [
+        ((1.0,), 1, 5_000, 0.12, 0.5),
+        ((1.0, 0.2), 12, 1_001, 0.12, 0.7),
+        # Two chunks of blocks, the second partial, and a partial last block.
+        ((1.0, 0.2), 12, 50_003, 0.12, 0.5),
+        ((1.0, 0.2), 12, 20_000, 0.12, 0.0),
+        ((1.0, 0.2), 12, 20_000, 0.12, 1.0),
+        # Every draw screened; most draws in the tails; an empty band.
+        ((1.0, 0.2), 12, 20_000, 1e-9, 0.5),
+        ((1.0, 0.2), 12, 20_000, 1.0, 0.5),
+        ((1.0, 0.2), 12, 20_000, 1e9, 0.5),
+        # Two row slices, the second partial, and a partial last block.
+        ((-0.3, 1.0, 0.6), 256, 256 * 300 + 17, 0.1, 0.6),
+    ],
+)
+def test_matches_reference_loop(taps, n, symbols, sigma, alpha):
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    cfg = NoisySimConfig(sigma=sigma, num_symbols=symbols, seed=17, alpha=alpha)
+    assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
+
+
+@pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 3.0, 8.0])
+def test_quiet_band_edges(x):
+    lo, hi = _quiet_band(x)
+    assert 0 < lo <= hi < 1 << 53
+    edges = ndtri((np.array([lo, hi]) + 0.5) * 2.0**-53)
+    assert np.all(np.abs(edges) < x)
+    # Only the margin and the rounding up separate the band from Q(x).
+    tail = q_function(x) * 2.0**53
+    assert tail <= lo <= tail * (1.0 + 1e-8) + 1.0
+
+
+def test_quiet_band_empty_at_zero():
+    lo, hi = _quiet_band(0.0)
+    assert lo > hi
+
+
+def test_import_leaves_scipy_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, isicap; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
+    )
+    assert proc.stdout.strip() == "[]"
