@@ -6,11 +6,22 @@ scheme over independent blocks, counts quantizer disagreements, and reports
 the empirical rate with a binomial standard error for comparison against the
 Gaussian tail bound.
 
-The random stream is fixed: per chunk of _BLOCK_CHUNK blocks, one uniform
-for each block's first sign, one per Markov step, then one 53-bit integer k
-per sample whose noise is sigma * ndtri((k + 0.5) / 2^53).  Each chunk is
-then processed in slices of about _SLICE_SIZE samples, so that a slice's
-signs, FFT actions and noise stay in cache.
+The random stream is fixed on the raw 64-bit words of Philox keyed by the
+seed.  Chunk c of _BLOCK_CHUNK blocks, holding `take` blocks of N samples,
+starts at word c*2*_BLOCK_CHUNK*N and holds, in order, one word per block
+for the first sign (+1 when the word is below 2^63), one per Markov step
+(the uniform (w >> 11) * 2^-53), then one per sample whose 53-bit integer
+k = w >> 11 gives the noise sigma * ndtri((k + 0.5) / 2^53).  These are the
+draws Generator(Philox(seed)).random and .integers(0, 2^53) make in that
+order, since Lemire's method never rejects a power-of-two range.  Philox is
+counter-based, so a slice of rows r0..r1 reads its own words at fixed
+offsets: `first` at +r0, the steps at +take + r0*(N-1) and the noise at
++take*N + r0*N.  Each chunk is an independent job on a pool of worker
+threads, one per usable CPU, and works in slices of about _SLICE_SIZE
+samples, so that a slice's words, signs, FFT actions and noise stay in
+cache.  Jobs return their flip count and their chunk's energy, and the
+energies are added in chunk order, so the report is the same bit for bit
+whatever the number of workers.
 
 Most noise draws cannot change a decision, and those skip ndtri.  The
 decision on a sample is the sign of y + sigma*z, where y = (M x)_n is the
@@ -31,6 +42,7 @@ every draw goes through ndtri.
 """
 
 import math
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -38,8 +50,9 @@ import numpy as np
 
 from .channel import ChannelOperators, apply_channel, apply_inverse
 
-# Blocks per RNG draw.  Fixed so results for a given config are reproducible
-# byte-for-byte regardless of platform vectorization.
+# Blocks per chunk, the unit of work of one job.  Fixed, since it sets where
+# each chunk's words start, so results for a given config are reproducible
+# byte-for-byte whatever the platform or the number of workers.
 _BLOCK_CHUNK = 1 << 12
 
 # Samples per slice of a chunk: a slice's float arrays fit in a core's cache.
@@ -52,6 +65,15 @@ _LATTICE = 1 << 53
 
 # Relative widening of the tail probability that bounds the noise screen.
 _SCREEN_MARGIN = 1e-9
+
+# Philox yields 64-bit words in blocks of four; advance() moves one block.
+_PHILOX_BLOCK = 4
+
+# A first-sign word below 2^63 is a uniform below 1/2, which makes the sign +1.
+_HALF_WORD = np.uint64(1 << 63)
+
+# Shift from a 64-bit word to its top 53 bits, the lattice integer.
+_WORD_SHIFT = np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -70,6 +92,8 @@ class NoisySimConfig:
             raise ValueError("num_symbols must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -100,7 +124,7 @@ def _quiet_band(x: float):
 
 
 # The sign stream in its plain chunk-wide form; the simulator forms the same
-# signs slice by slice from the same draws.
+# signs slice by slice from the same words.
 def _markov_signs(rng: np.random.Generator, nblocks: int, n: int, alpha: float) -> np.ndarray:
     first = np.where(rng.random(size=(nblocks, 1)) < 0.5, 1.0, -1.0)
     if n == 1:
@@ -110,17 +134,83 @@ def _markov_signs(rng: np.random.Generator, nblocks: int, n: int, alpha: float) 
     return np.cumprod(np.concatenate([first, steps], axis=1), axis=1)
 
 
+def _words_at(key: np.ndarray, offset: int) -> np.random.Philox:
+    """The Philox stream with this key, positioned at word `offset`.
+
+    random_raw on the result reads the stream's words from there on, the
+    same words Generator(Philox(seed)) consumes after `offset` of them.
+    """
+    bitgen = np.random.Philox(key=key)
+    bitgen.advance(offset // _PHILOX_BLOCK)
+    bitgen.random_raw(offset % _PHILOX_BLOCK)
+    return bitgen
+
+
 def _positive_signs(first: np.ndarray, steps: np.ndarray, alpha: float) -> np.ndarray:
     """Where each block's Markov sign is +1, as a boolean (rows, n) array.
 
-    first holds the first sign's test (u < 1/2 means +1) and steps the
-    step uniforms; the sign flips at each step with u >= alpha, so it is +1
-    where the first sign, xor-accumulated with the flips, is true.
+    first holds each block's first-sign word and steps its step words; the
+    first sign is +1 for a word below 2^63, and the sign flips at each step
+    whose uniform (w >> 11) * 2^-53 is at least alpha.  Scaling by 2^53 is
+    exact, so that is where w >> 11 is at least ceil(alpha * 2^53), an
+    integer test that skips forming the uniforms.  The sign is +1 where the
+    first sign, xor-accumulated with the flips, is true.
     """
     positive = np.empty((steps.shape[0], steps.shape[1] + 1), dtype=bool)
-    positive[:, :1] = first
-    np.greater_equal(steps, alpha, out=positive[:, 1:])
+    np.less(first, _HALF_WORD, out=positive[:, 0])
+    flip_from = np.uint64(math.ceil(alpha * _LATTICE))
+    np.greater_equal(steps >> _WORD_SHIFT, flip_from, out=positive[:, 1:])
     return np.logical_xor.accumulate(positive, axis=1, out=positive)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _simulate_chunk(
+    ops: ChannelOperators, config: NoisySimConfig, key: np.ndarray, chunk: int
+):
+    """(flips, energy) over chunk `chunk` of the run, read off its own words."""
+    from scipy.special import ndtri
+
+    n = ops.n
+    sigma = config.sigma
+    rows = max(1, _SLICE_SIZE // n)
+    nblocks = -(-config.num_symbols // n)
+    take = min(_BLOCK_CHUNK, nblocks - chunk * _BLOCK_CHUNK)
+    count = min(config.num_symbols - chunk * _BLOCK_CHUNK * n, take * n)
+    start = chunk * 2 * _BLOCK_CHUNK * n
+    first_words = _words_at(key, start)
+    step_words = _words_at(key, start + take)
+    noise_words = _words_at(key, start + take * n)
+    # x^2 of the chunk, summed once in the order of a chunk-wide sum.
+    squares = np.empty(take * n)
+
+    flips = 0
+    for r0 in range(0, take, rows):
+        r1 = min(r0 + rows, take)
+        positive = _positive_signs(
+            first_words.random_raw(r1 - r0),
+            step_words.random_raw((r1 - r0, n - 1)),
+            config.alpha,
+        )
+        signs = positive * 2.0
+        signs -= 1.0
+        x = apply_inverse(ops, signs)
+        x *= ops.delta
+        np.square(x, out=squares[r0 * n : r1 * n].reshape(x.shape))
+        y = apply_channel(ops, x).ravel()
+        k = (noise_words.random_raw((r1 - r0) * n) >> _WORD_SHIFT).view(np.int64)
+        lo, hi = _quiet_band(np.min(np.abs(y)) / sigma)
+        tails = np.flatnonzero((k < lo) | (k > hi))
+        y[tails] += sigma * ndtri((k[tails] + 0.5) * 2.0**-53)
+        used = min(count, r1 * n) - r0 * n
+        flips += np.count_nonzero((y[:used] >= 0) != positive.ravel()[:used])
+    return flips, float(np.sum(squares[:count]))
 
 
 def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimReport:
@@ -128,55 +218,30 @@ def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimR
 
     Blocks are independent; the chain restarts from its uniform stationary
     law each block.  Only the first num_symbols positions count toward the
-    flip tally (the final block may be partially used).
+    flip tally (the final block may be partially used).  Chunks of blocks
+    run on one worker thread per usable CPU.
     """
-    from scipy.special import ndtri
+    from concurrent.futures import ThreadPoolExecutor
 
     if config.num_symbols < 1000:
         warnings.warn("fewer than 1000 symbols; the flip-rate estimate will be noisy")
-    n = ops.n
-    delta = ops.delta
-    sigma = config.sigma
-    rows = max(1, _SLICE_SIZE // n)
-    nblocks = -(-config.num_symbols // n)
-    rng = np.random.Generator(np.random.Philox(config.seed))
-    # x^2 of one chunk, summed once per chunk in the order of a chunk-wide sum.
-    squares = np.empty(min(_BLOCK_CHUNK, nblocks) * n)
+    nchunks = -(-config.num_symbols // (ops.n * _BLOCK_CHUNK))
+    key = np.random.Philox(config.seed).state["state"]["key"]
+    with ThreadPoolExecutor(max_workers=min(_usable_cpus(), nchunks)) as pool:
+        results = list(
+            pool.map(lambda c: _simulate_chunk(ops, config, key, c), range(nchunks))
+        )
 
+    # A plain left fold in chunk order; sum() compensates floats on Python 3.12+.
     flips = 0
     energy = 0.0
-    remaining = config.num_symbols
-    done = 0
-    while done < nblocks:
-        take = min(_BLOCK_CHUNK, nblocks - done)
-        first = rng.random(size=(take, 1)) < 0.5
-        # At n = 1 this draw is empty and leaves the stream where it was.
-        steps = rng.random(size=(take, n - 1))
-        draws = rng.integers(0, _LATTICE, size=(take, n), dtype=np.int64)
-        count = min(remaining, take * n)
-        for r0 in range(0, take, rows):
-            r1 = min(r0 + rows, take)
-            positive = _positive_signs(first[r0:r1], steps[r0:r1], config.alpha)
-            signs = positive * 2.0
-            signs -= 1.0
-            x = apply_inverse(ops, signs)
-            x *= delta
-            np.square(x, out=squares[r0 * n : r1 * n].reshape(x.shape))
-            y = apply_channel(ops, x).ravel()
-            k = draws[r0:r1].ravel()
-            lo, hi = _quiet_band(np.min(np.abs(y)) / sigma)
-            tails = np.flatnonzero((k < lo) | (k > hi))
-            y[tails] += sigma * ndtri((k[tails] + 0.5) * 2.0**-53)
-            used = min(count, r1 * n) - r0 * n
-            flips += np.count_nonzero((y[:used] >= 0) != positive.ravel()[:used])
-        energy += float(np.sum(squares[:count]))
-        remaining -= count
-        done += take
-
+    for chunk_flips, chunk_energy in results:
+        flips += chunk_flips
+        energy += chunk_energy
     p_hat = flips / config.num_symbols
     return SimReport(
         empirical_flip_rate=p_hat,
-        theoretical_bound=q_function(delta / config.sigma),
+        theoretical_bound=q_function(ops.delta / config.sigma),
         std_error=math.sqrt(p_hat * (1.0 - p_hat) / config.num_symbols),
         measured_power_per_use=energy / config.num_symbols,
         num_symbols=config.num_symbols,

@@ -181,6 +181,16 @@ def test_non_finite_sigma_rejected(capsys, sigma):
     assert "finite" in err
 
 
+def test_negative_seed_rejected(capsys):
+    code, out, err = run_cli(
+        capsys, "validate", "--taps", "1,0.2", "--sigma", "0.1", "--symbols", "1200",
+        "--seed", "-1",
+    )
+    assert code == 1
+    assert out == ""
+    assert "seed" in err
+
+
 def test_module_entry_point():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

@@ -24,7 +24,14 @@ from isicap import (
     quantize,
     simulate_zero_forcing,
 )
-from isicap.simulate import _BLOCK_CHUNK, _markov_signs, _quiet_band
+import isicap.simulate as simulate
+from isicap.simulate import (
+    _BLOCK_CHUNK,
+    _markov_signs,
+    _positive_signs,
+    _quiet_band,
+    _words_at,
+)
 
 
 def normal_tail(x):
@@ -44,6 +51,16 @@ def test_config_validation():
         NoisySimConfig(sigma=0.1, num_symbols=0)
     with pytest.raises(ValueError):
         NoisySimConfig(sigma=0.1, num_symbols=100, alpha=1.5)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, False, "3", None])
+def test_bad_seed_rejected(seed):
+    with pytest.raises(ValueError, match="seed"):
+        NoisySimConfig(sigma=0.1, num_symbols=100, seed=seed)
+
+
+def test_large_seed_accepted():
+    assert NoisySimConfig(sigma=0.1, num_symbols=100, seed=2**70).seed == 2**70
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf])
@@ -200,6 +217,74 @@ def test_matches_reference_loop(taps, n, symbols, sigma, alpha):
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_worker_count_leaves_report_unchanged(monkeypatch, workers):
+    # Ten chunks, so that the order of the energy sum shows; the last chunk
+    # partial, a partial last block, and odd N.
+    ops = build_operators(ChannelSpec((1.0, 0.2), 0.3, 13))
+    symbols = 9 * _BLOCK_CHUNK * 13 + 1000 * 13 + 5
+    cfg = NoisySimConfig(sigma=0.1, num_symbols=symbols, seed=23, alpha=0.7)
+    monkeypatch.setattr(simulate, "_usable_cpus", lambda: workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the workers finely
+    try:
+        report = simulate_zero_forcing(ops, cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert report == reference_simulation(ops, cfg)
+
+
+def _chunk_start(chunk, n):
+    return chunk * 2 * _BLOCK_CHUNK * n
+
+
+@pytest.mark.parametrize(
+    "offset",
+    [0, 1, 2, 3, 4, 17, 1022, _chunk_start(1, 13) - 3, _chunk_start(2, 13) + 1],
+)
+def test_words_at_reads_the_generator_stream(offset):
+    seed = 31
+    key = np.random.Philox(seed).state["state"]["key"]
+    count = 9  # across the chunk boundary from the offsets just before one
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.random(offset)  # one word per uniform
+    words = _words_at(key, offset).random_raw(count)
+    uniforms = rng.random(count)
+    assert np.array_equal((words >> np.uint64(11)) * 2.0**-53, uniforms)
+    assert np.array_equal(words < np.uint64(1 << 63), uniforms < 0.5)
+
+    rng = np.random.Generator(np.random.Philox(seed))
+    rng.integers(0, 1 << 53, size=offset, dtype=np.int64)
+    lattice = rng.integers(0, 1 << 53, size=count, dtype=np.int64)
+    assert np.array_equal((words >> np.uint64(11)).view(np.int64), lattice)
+
+
+def test_words_at_reads_on_sequentially():
+    key = np.random.Philox(5).state["state"]["key"]
+    stream = _words_at(key, 3)
+    head = stream.random_raw(2)
+    tail = stream.random_raw(6)
+    assert np.array_equal(
+        np.concatenate([head, tail]), np.random.Philox(5).random_raw(11)[3:]
+    )
+
+
+@pytest.mark.parametrize("alpha", [0.0, 5e-324, 0.3, 0.5, 0.7, 1.0 - 2**-53, 1.0])
+def test_step_flips_match_uniforms(alpha):
+    # Step words whose 53-bit integers sit on and around alpha * 2^53.
+    edge = math.floor(alpha * 2**53)
+    k = np.array(
+        [edge + d for d in range(-2, 3) if 0 <= edge + d < 1 << 53] + [0, (1 << 53) - 1],
+        dtype=np.uint64,
+    )
+    words = (k << np.uint64(11)) | np.uint64(0x5A5)
+    positive = _positive_signs(np.zeros(len(k), dtype=np.uint64), words[:, None], alpha)
+    assert positive[:, 0].all()  # word 0 is a uniform below 1/2
+    uniforms = (words >> np.uint64(11)) * 2.0**-53
+    assert np.array_equal(~positive[:, 1], uniforms >= alpha)
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 3.0, 8.0])
 def test_quiet_band_edges(x):
     lo, hi = _quiet_band(x)
@@ -218,7 +303,10 @@ def test_quiet_band_empty_at_zero():
 
 def test_import_leaves_scipy_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
-    code = "import sys, isicap; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = (
+        "import sys, isicap; print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'concurrent.futures'))"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
