@@ -11,10 +11,12 @@ k is f(2*pi*k/N) with f(lam) = sum_k h_k exp(1j*k*lam), so inversion and the
 Gram inverse G = (M_h M_h^T)^{-1} are O(N log N) and G is itself circulant
 with generator IDFT(1/|f|^2).
 
-Channels whose G is diagonally dominant admit a closed-form minimum-energy
-solution downstream; ``build_operators`` computes that classification once.
+``build_operators`` also labels whether G is diagonally dominant, the case in
+which the closed-form minimum energy holds for every sign pattern.  The flag
+is a label only: the energy layer checks optimality pattern by pattern.
 """
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,9 @@ SINGULAR_TOL = 1e-9
 DD_TOL = 1e-12
 
 # Dense materialization of the N x N Gram inverse is allowed only at small N;
-# larger blocks use the circulant generator and FFT actions.
-DENSE_GRAM_CAP = 16
+# larger blocks use the circulant generator and FFT actions.  Exhaustive
+# enumeration, its largest user, reaches N = energy.ENUMERATION_CAP.
+DENSE_GRAM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -58,7 +61,11 @@ class ChannelSpec:
             raise ValueError("all taps are zero")
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
-        if self.block_len < len(taps):
+        n = self.block_len
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"block_len must be an int, got {n!r}")
+        object.__setattr__(self, "block_len", int(n))
+        if n < len(taps):
             raise ValueError("block_len must be at least the tap count")
 
 
@@ -68,14 +75,12 @@ class ChannelOperators:
 
     dft_gains      -- f(2*pi*k/N) for k = 0..N-1
     gram_generator -- first column of G = (M_h M_h^T)^{-1} (G is circulant)
-    inverse_row    -- first column of M_h^{-1}
     dd_flag        -- True iff G is diagonally dominant
     """
 
     spec: ChannelSpec
     dft_gains: np.ndarray
     gram_generator: np.ndarray
-    inverse_row: np.ndarray
     dd_flag: bool
 
     @property
@@ -131,20 +136,18 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
     gram_gen = np.fft.ifft(1.0 / np.abs(fft_col) ** 2).real
     if not np.all(np.isfinite(gram_gen)):
         raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
-    inv_row = np.fft.ifft(1.0 / fft_col).real
 
     # Diagonal dominance of the circulant G reads off its generator:
     # g_0 >= sum_{k>=1} |g_k|, with slack so exact ties classify as dominant.
     off_mass = np.sum(np.abs(gram_gen[1:]))
     dd_flag = bool(gram_gen[0] >= off_mass - DD_TOL * max(1.0, abs(gram_gen[0])))
 
-    for arr in (gains, gram_gen, inv_row):
+    for arr in (gains, gram_gen):
         arr.flags.writeable = False
     return ChannelOperators(
         spec=spec,
         dft_gains=gains,
         gram_generator=gram_gen,
-        inverse_row=inv_row,
         dd_flag=dd_flag,
     )
 

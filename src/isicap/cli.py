@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/config error, 2 validation failure,
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,25 +52,6 @@ _FIG4_MARKOV_X = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One subcommand's parsed flags; the parser supplies every default, and
-    fields the subcommand has no flag for are None."""
-
-    taps: tuple
-    delta: float
-    block_len: int
-    power_grid: tuple
-    sigma: float
-    seed: int
-    output_path: str
-    alpha: float
-    num_symbols: int
-    dump_energies: bool
-    raw_units: bool
-    power_model: str
-
-
 def _fmt(x) -> str:
     return repr(float(x))
 
@@ -105,35 +85,36 @@ def _parse_grid(text: str) -> tuple:
     return values
 
 
-def _config_lines(cmd: str, cfg: RunConfig, extra: str = "") -> list:
+def _config_lines(cmd: str, spec: ChannelSpec, seed: int, extra: str = "") -> list:
     line = (
-        f"# isicap {cmd} taps={','.join(_fmt(t) for t in cfg.taps)}"
-        f" delta={_fmt(cfg.delta)} n={cfg.block_len} seed={cfg.seed}"
+        f"# isicap {cmd} taps={','.join(_fmt(t) for t in spec.taps)}"
+        f" delta={_fmt(spec.delta)} n={spec.block_len} seed={seed}"
     )
     if extra:
         line += " " + extra
     return [line]
 
 
-def _grid_pairs(cfg: RunConfig):
-    """(raw power, printed P/delta^2) pairs; the printed value echoes the
-    parsed grid exactly when it was given in normalized units."""
-    d2 = cfg.delta**2
-    if cfg.raw_units:
-        return [(v, v / d2) for v in cfg.power_grid]
-    return [(v * d2, v) for v in cfg.power_grid]
+def _gridded_spec(args):
+    """The spec and the (raw power, printed P/delta^2) pairs of --grid, parsed
+    after the taps and before the spec is checked.  The printed value echoes
+    the parsed grid exactly when it was given in normalized units."""
+    taps = _parse_taps(args.taps)
+    grid = _parse_grid(args.grid) if args.grid else ()
+    spec = ChannelSpec(taps, args.delta, args.n)
+    d2 = spec.delta**2
+    return spec, [(v, v / d2) if args.raw_units else (v * d2, v) for v in grid]
 
 
-def cmd_capacity(cfg: RunConfig):
-    spec = ChannelSpec(cfg.taps, cfg.delta, cfg.block_len)
+def cmd_capacity(args):
+    spec, pairs = _gridded_spec(args)
     ops = build_operators(spec)
-    pairs = _grid_pairs(cfg)
     rows = capacity_curve(ops, [p for p, _ in pairs])
     if all(sol.regime is Regime.INFEASIBLE for _, sol in rows):
         raise InfeasiblePower(
             "every grid point is infeasible (below the minimum-energy floor)"
         )
-    lines = _config_lines("capacity", cfg)
+    lines = _config_lines("capacity", spec, args.seed)
     lines.append("p_over_delta2,capacity_bits,regime,gibbs_beta")
     for (_, shown), (_, sol) in zip(pairs, rows):
         lines.append(
@@ -143,29 +124,29 @@ def cmd_capacity(cfg: RunConfig):
     return lines, EXIT_OK
 
 
-def cmd_markov(cfg: RunConfig):
-    spec = ChannelSpec(cfg.taps, cfg.delta, cfg.block_len)
-    lines = _config_lines("markov", cfg, extra=f"power_model={cfg.power_model}")
+def cmd_markov(args):
+    spec, pairs = _gridded_spec(args)
+    lines = _config_lines("markov", spec, args.seed, extra=f"power_model={args.power_model}")
     lines.append("p_over_delta2,rate_bits,alpha_star")
-    for p_raw, shown in _grid_pairs(cfg):
-        rate, alpha = achievable_rate_detail(spec, p_raw, power_model=cfg.power_model)
+    for p_raw, shown in pairs:
+        rate, alpha = achievable_rate_detail(spec, p_raw, power_model=args.power_model)
         lines.append(f"{_fmt(shown)},{_fmt(rate)},{_fmt(alpha)}")
     return lines, EXIT_OK
 
 
-def cmd_energy(cfg: RunConfig):
-    spec = ChannelSpec(cfg.taps, cfg.delta, cfg.block_len)
+def cmd_energy(args):
+    spec = ChannelSpec(_parse_taps(args.taps), args.delta, args.n)
     ops = build_operators(spec)
     profile = enumerate_profile(ops)
-    n = cfg.block_len
-    lines = _config_lines("energy", cfg)
+    n = spec.block_len
+    lines = _config_lines("energy", spec, args.seed)
     lines.append("e_min_per_use,e_mean_per_use,e_max_per_use,min_count,dd_flag")
     lines.append(
         f"{_fmt(profile.e_min / n)},{_fmt(profile.e_mean / n)},"
         f"{_fmt(profile.e_max / n)},{profile.min_count},"
         f"{'true' if ops.dd_flag else 'false'}"
     )
-    if cfg.dump_energies:
+    if args.dump_energies:
         lines.append("# per-pattern energies")
         lines.append("pattern_bits,energy")
         for code, e in enumerate(profile.energies):
@@ -173,18 +154,18 @@ def cmd_energy(cfg: RunConfig):
     return lines, EXIT_OK
 
 
-def cmd_validate(cfg: RunConfig):
-    spec = ChannelSpec(cfg.taps, cfg.delta, cfg.block_len)
+def cmd_validate(args):
+    spec = ChannelSpec(_parse_taps(args.taps), args.delta, args.n)
     ops = build_operators(spec)
     sim = NoisySimConfig(
-        sigma=cfg.sigma, num_symbols=cfg.num_symbols, seed=cfg.seed, alpha=cfg.alpha
+        sigma=args.sigma, num_symbols=args.symbols, seed=args.seed, alpha=args.alpha
     )
     report = simulate_zero_forcing(ops, sim)
     q = report.theoretical_bound
     slack = 3.0 * np.sqrt(q * (1.0 - q) / report.num_symbols)
     ok = abs(report.empirical_flip_rate - q) <= slack
     lines = _config_lines(
-        "validate", cfg, extra=f"sigma={_fmt(cfg.sigma)} alpha={_fmt(cfg.alpha)}"
+        "validate", spec, args.seed, extra=f"sigma={_fmt(args.sigma)} alpha={_fmt(args.alpha)}"
     )
     lines.append(f"empirical_flip_rate={_fmt(report.empirical_flip_rate)}")
     lines.append(f"theoretical_bound={_fmt(report.theoretical_bound)}")
@@ -236,12 +217,9 @@ def _fig4_lines(block_len: int):
     return lines
 
 
-def cmd_figures(which: str, block_len: int):
-    if which == "fig3":
-        return _fig3_lines(block_len), EXIT_OK
-    if which == "fig4":
-        return _fig4_lines(block_len), EXIT_OK
-    raise ValueError(f"unknown figure {which!r}")
+def cmd_figures(args):
+    figure = {"fig3": _fig3_lines, "fig4": _fig4_lines}[args.which]
+    return figure(args.n), EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -276,9 +254,11 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("capacity", help="Gibbs capacity over a power grid")
     _add_channel_flags(p, with_grid=True)
+    p.set_defaults(run=cmd_capacity)
 
     p = sub.add_parser("markov", help="zero-forcing Markov rates over a power grid")
     _add_channel_flags(p, with_grid=True)
+    p.set_defaults(run=cmd_markov)
     p.add_argument(
         "--power-model",
         choices=("asymptotic", "finite"),
@@ -288,12 +268,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("energy", help="exhaustive minimum-energy profile")
     _add_channel_flags(p, with_grid=False)
+    p.set_defaults(run=cmd_energy)
     p.add_argument(
         "--dump-energies", action="store_true", help="also emit all 2^N pattern energies"
     )
 
     p = sub.add_parser("validate", help="Monte-Carlo check of the flip-rate bound")
     _add_channel_flags(p, with_grid=False)
+    p.set_defaults(run=cmd_validate)
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
     p.add_argument(
         "--alpha", type=float, default=0.5, help="sign-source self-transition (default 0.5)"
@@ -302,52 +284,18 @@ def _build_parser() -> _Parser:
         "--symbols", type=int, default=1_000_000, help="symbol budget (default 1e6)"
     )
 
-    # Flags that only some subcommands have read as None in the others.
-    parser.set_defaults(
-        grid=None, raw_units=None, sigma=None, alpha=None, symbols=None,
-        dump_energies=None, power_model=None,
-    )
-
     p = sub.add_parser("figures", help="reference CSV data for the standard channels")
     p.add_argument("which", choices=("fig3", "fig4"))
+    p.set_defaults(run=cmd_figures)
     p.add_argument("--n", type=int, default=12, help="block length (default 12)")
     p.add_argument("--out", default="", help="output path (default stdout)")
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        taps=_parse_taps(args.taps),
-        delta=args.delta,
-        block_len=args.n,
-        power_grid=_parse_grid(args.grid) if args.grid else (),
-        sigma=args.sigma,
-        seed=args.seed,
-        output_path=args.out,
-        alpha=args.alpha,
-        num_symbols=args.symbols,
-        dump_energies=args.dump_energies,
-        raw_units=args.raw_units,
-        power_model=args.power_model,
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "figures":
-            lines, code = cmd_figures(args.which, args.n)
-            out_path = args.out
-        else:
-            cfg = _config_from_args(args)
-            handler = {
-                "capacity": cmd_capacity,
-                "markov": cmd_markov,
-                "energy": cmd_energy,
-                "validate": cmd_validate,
-            }[args.command]
-            lines, code = handler(cfg)
-            out_path = cfg.output_path
+        lines, code = args.run(args)
     except (NoConvergence, QuadratureFailure) as exc:
         print(f"isicap: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -356,11 +304,15 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
 
     text = "\n".join(lines) + "\n"
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+    if not args.out:
         sys.stdout.write(text)
+        return code
+    try:
+        with open(args.out, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"isicap: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return code
 
 

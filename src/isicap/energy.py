@@ -11,12 +11,15 @@ The closed form z = delta * 1, i.e.
     E(s) = delta^2 * s^T G s,      x* = delta * M_h^{-1} s,
 
 has multipliers mu = 2*delta*diag(s)*G*s and is optimal exactly when mu >= 0;
-diagonal dominance of G is the case where this holds for every s.  The
-solver is a primal active-set method (Lawson-Hanson) started there: it frees
-the bound with the most negative multiplier, minimizes over the free z_i with
-the others held at delta, steps back to feasibility when a free z_i would
-fall below delta, and stops after finitely many pivots once mu >= 0.  Each
-result carries x*, the dual mu and their duality gap, which certifies it.
+diagonal dominance of G is the case where this holds for every s.  Every
+channel takes the same path: an exhaustive profile forms diag(s) G s for each
+pattern with the dense G, keeps the closed form where mu >= 0 and sends the
+other patterns to the solver.  The solver is a primal active-set method
+(Lawson-Hanson) started at the closed form: it frees the bound with the most
+negative multiplier, minimizes over the free z_i with the others held at
+delta, steps back to feasibility when a free z_i would fall below delta, and
+stops after finitely many pivots once mu >= 0.  Each result carries x*, the
+dual mu and their duality gap, which certifies it.
 
 The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
 0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
@@ -127,14 +130,6 @@ def _gram_apply(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
     """G acting on each row, via the spectral form of the circulant G."""
     spec_weight = 1.0 / np.abs(ops.fft_col[: ops.n // 2 + 1]) ** 2
     return np.fft.irfft(np.fft.rfft(rows, axis=-1) * spec_weight, n=ops.n, axis=-1)
-
-
-def _quadratic_form_rows(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
-    # s^T G s = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2  (Parseval on the
-    # eigenbasis), avoiding any dense matrix.
-    spec_weight = 1.0 / np.abs(ops.fft_col) ** 2
-    mag2 = np.abs(np.fft.fft(rows, axis=-1)) ** 2
-    return (mag2 @ spec_weight) / ops.n
 
 
 def _dual_tol(ops: ChannelOperators) -> float:
@@ -299,16 +294,16 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     if n > ENUMERATION_CAP:
         raise TooLarge(f"exhaustive enumeration capped at N={ENUMERATION_CAP}")
     codes, mult = _orbits(n)
+    gram = ops.gram_inverse()
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
-        bits = (codes[start : start + _CHUNK, None] >> np.arange(n - 1, -1, -1)) & 1
-        pats = bits * 2.0 - 1.0
-        vals = ops.delta**2 * _quadratic_form_rows(ops, pats)
-        if not ops.dd_flag:
-            # Only rows whose closed-form dual has a negative entry need pivots.
-            duals = 2.0 * pats * _gram_apply(ops, ops.delta * pats)
-            bad = np.flatnonzero(duals.min(axis=1) < -_dual_tol(ops))
-            vals[bad] = _solve(ops, pats[bad])[1]
+        pats = pattern_from_code(codes[start : start + _CHUNK, None], n)
+        # Row i of sgs is diag(s) G s: it sums to s'Gs, and 2*delta times it
+        # is the closed form's dual.  Rows with a negative dual entry pivot.
+        sgs = (pats @ gram) * pats
+        vals = ops.delta**2 * sgs.sum(axis=1)
+        bad = np.flatnonzero(2.0 * ops.delta * sgs.min(axis=1) < -_dual_tol(ops))
+        vals[bad] = _solve(ops, pats[bad])[1]
         energies[start : start + _CHUNK] = vals
 
     e_min = float(energies.min())

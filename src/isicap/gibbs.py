@@ -64,9 +64,15 @@ class GibbsSolution:
     residual: float = 0.0
 
 
+def _check_n(profile: EnergyProfile, n: int):
+    if n != profile.n:
+        raise ValueError(f"n={n!r} differs from the profile's block length {profile.n}")
+
+
 def _moments(profile: EnergyProfile, beta: float, n: int):
     """ln Z, <E> and Var(E) at multiplier beta, from one pass over the orbits
     with the max exponent factored out."""
+    _check_n(profile, n)
     e = profile.orbit_energies
     a = -beta * e / n
     m = float(np.max(a))
@@ -89,6 +95,7 @@ def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
 
 def solve_beta(profile: EnergyProfile, power: float, n: int) -> GibbsSolution:
     """Classify the regime at per-use power P and solve for beta if interior."""
+    _check_n(profile, n)
     if not math.isfinite(power):
         raise ValueError(f"power must be finite, got {power!r}")
     np_budget = n * power

@@ -42,6 +42,7 @@ every draw goes through ndtri.
 """
 
 import math
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -88,12 +89,18 @@ class NoisySimConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        if self.num_symbols <= 0:
+        count, seed = self.num_symbols, self.seed
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
+            raise ValueError(f"num_symbols must be an int, got {count!r}")
+        if count <= 0:
             raise ValueError("num_symbols must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
+        # numpy integers are stored as int, so the draw offsets cannot overflow.
+        object.__setattr__(self, "num_symbols", int(count))
+        object.__setattr__(self, "seed", int(seed))
 
 
 @dataclass(frozen=True)

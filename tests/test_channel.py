@@ -34,6 +34,18 @@ def test_spec_validation():
         ChannelSpec((1.0, 0.2, 0.1), 0.3, 2)  # more taps than block length
 
 
+@pytest.mark.parametrize("block_len", [12.0, True, None, "12"])
+def test_non_integer_block_len_rejected(block_len):
+    with pytest.raises(ValueError, match="block_len must be an int"):
+        ChannelSpec((1.0, 0.2), 0.3, block_len)
+
+
+def test_numpy_block_len_accepted():
+    spec = ChannelSpec((1.0, 0.2), 0.3, np.int64(12))
+    assert spec.block_len == 12 and type(spec.block_len) is int
+    assert build_operators(spec).n == 12
+
+
 def test_taps_coerced_to_floats():
     spec = ChannelSpec((1, 0.2), 0.3, 8)
     assert spec.taps == (1.0, 0.2)

@@ -276,6 +276,15 @@ def test_figures_fig4_to_file(tmp_path, capsys):
     assert all(r[3] == "true" for r in rows)
 
 
+def test_unwritable_out_path(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.csv"
+    code, out, err = run_cli(capsys, "figures", "fig3", "--out", str(target))
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith(f"isicap: cannot write {target}: ")
+    assert "Traceback" not in err
+
+
 def test_figures_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["figures", "fig9"])

@@ -22,7 +22,8 @@ from isicap import (
     pattern_from_code,
     solve_energy_qp,
 )
-from isicap.energy import MIN_TIE_TOL, _orbits
+from isicap.channel import DENSE_GRAM_CAP
+from isicap.energy import _CHUNK, ENUMERATION_CAP, MIN_TIE_TOL, _orbits
 from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
@@ -244,6 +245,32 @@ def test_enumeration_cap():
     ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, 21))
     with pytest.raises(TooLarge):
         enumerate_profile(ops)
+
+
+def test_dense_gram_covers_enumeration():
+    # enumerate_profile forms diag(s) G s with the dense G up to the cap.
+    assert DENSE_GRAM_CAP >= ENUMERATION_CAP
+
+
+def test_profile_at_cap_matches_certified_energy():
+    n = ENUMERATION_CAP
+    ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, n))
+    prof = enumerate_profile(ops)
+    assert prof.orbit_codes.size == 26272 > _CHUNK
+    rng = np.random.default_rng(20)
+    picks = np.concatenate([
+        rng.choice(_CHUNK, 100, replace=False),
+        rng.choice(np.arange(_CHUNK, prof.orbit_codes.size), 100, replace=False),
+    ])
+    gram = ops.gram_inverse()
+    for chunk in np.split(picks, 2):
+        pats = [pattern_from_code(int(c), n) for c in prof.orbit_codes[chunk]]
+        certified = np.array([energy(ops, s).energy for s in pats])
+        np.testing.assert_allclose(prof.orbit_energies[chunk], certified, rtol=1e-12, atol=0)
+        # Each chunk's sample holds closed-form orbits and orbits the QP lowered.
+        closed = np.array([DELTA**2 * s @ gram @ s for s in pats])
+        lowered = certified < closed * (1 - 1e-9)
+        assert lowered.any() and not lowered.all()
 
 
 def test_delta_scaling_profile():

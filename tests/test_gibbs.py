@@ -130,6 +130,13 @@ def test_non_finite_power_rejected(two_tap_profile, power):
         solve_beta(two_tap_profile, power, N)
 
 
+@pytest.mark.parametrize("fn, arg", [(solve_beta, 0.08), (log_partition, 1.0), (avg_energy, 1.0)])
+def test_block_length_mismatch_rejected(two_tap_profile, fn, arg):
+    # A profile of N = 12 summed as if N were 20 would give a wrong answer.
+    with pytest.raises(ValueError, match="n=20.*12"):
+        fn(two_tap_profile, arg, 20)
+
+
 def _gibbs_weights(energies, beta, n):
     a = -beta * energies / n
     w = np.exp(a - a.max())

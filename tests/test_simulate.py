@@ -59,6 +59,19 @@ def test_bad_seed_rejected(seed):
         NoisySimConfig(sigma=0.1, num_symbols=100, seed=seed)
 
 
+@pytest.mark.parametrize("count", [True, 1500.5, None, "1500"])
+def test_non_integer_num_symbols_rejected(count):
+    with pytest.raises(ValueError, match="num_symbols must be an int"):
+        NoisySimConfig(sigma=0.1, num_symbols=count)
+
+
+def test_numpy_integers_accepted(two_tap_ops):
+    cfg = NoisySimConfig(sigma=0.1, num_symbols=np.int64(5000), seed=np.uint32(7))
+    assert type(cfg.num_symbols) is int and type(cfg.seed) is int
+    plain = NoisySimConfig(sigma=0.1, num_symbols=5000, seed=7)
+    assert simulate_zero_forcing(two_tap_ops, cfg) == simulate_zero_forcing(two_tap_ops, plain)
+
+
 def test_large_seed_accepted():
     assert NoisySimConfig(sigma=0.1, num_symbols=100, seed=2**70).seed == 2**70
 
