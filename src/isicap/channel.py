@@ -37,6 +37,14 @@ DD_TOL = 1e-12
 DENSE_GRAM_CAP = 20
 
 
+def _as_int(name: str, value) -> int:
+    """value as an int; bool and non-integers (12.0 included) are rejected,
+    numpy integers accepted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Problem instance: taps, threshold and block length.
@@ -61,11 +69,8 @@ class ChannelSpec:
             raise ValueError("all taps are zero")
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
-        n = self.block_len
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"block_len must be an int, got {n!r}")
-        object.__setattr__(self, "block_len", int(n))
-        if n < len(taps):
+        object.__setattr__(self, "block_len", _as_int("block_len", self.block_len))
+        if self.block_len < len(taps):
             raise ValueError("block_len must be at least the tap count")
 
 

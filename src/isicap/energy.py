@@ -13,8 +13,9 @@ The closed form z = delta * 1, i.e.
 has multipliers mu = 2*delta*diag(s)*G*s and is optimal exactly when mu >= 0;
 diagonal dominance of G is the case where this holds for every s.  Every
 channel takes the same path: an exhaustive profile forms diag(s) G s for each
-pattern with the dense G, keeps the closed form where mu >= 0 and sends the
-other patterns to the solver.  The solver is a primal active-set method
+pattern with the dense G, keeps the closed form where mu >= 0 (its energy
+taken by Parseval, a sum of nonnegative terms) and sends the other patterns
+to the solver.  The solver is a primal active-set method
 (Lawson-Hanson) started at the closed form: it frees the bound with the most
 negative multiplier, minimizes over the free z_i with the others held at
 delta, steps back to feasibility when a free z_i would fall below delta, and
@@ -295,13 +296,17 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
         raise TooLarge(f"exhaustive enumeration capped at N={ENUMERATION_CAP}")
     codes, mult = _orbits(n)
     gram = ops.gram_inverse()
+    spec_weight = 1.0 / np.abs(ops.fft_col) ** 2
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
         pats = pattern_from_code(codes[start : start + _CHUNK, None], n)
-        # Row i of sgs is diag(s) G s: it sums to s'Gs, and 2*delta times it
-        # is the closed form's dual.  Rows with a negative dual entry pivot.
+        # s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
+        # terms, so it keeps its digits however ill-conditioned G is; the dense
+        # sum over s_i s_j g_{i-j} cancels terms of size g_0.
+        vals = ops.delta**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ spec_weight) / n)
+        # 2*delta times row i of diag(s) G s is the closed form's dual: rows
+        # with a negative entry pivot.
         sgs = (pats @ gram) * pats
-        vals = ops.delta**2 * sgs.sum(axis=1)
         bad = np.flatnonzero(2.0 * ops.delta * sgs.min(axis=1) < -_dual_tol(ops))
         vals[bad] = _solve(ops, pats[bad])[1]
         energies[start : start + _CHUNK] = vals

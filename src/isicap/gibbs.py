@@ -72,7 +72,6 @@ def _check_n(profile: EnergyProfile, n: int):
 def _moments(profile: EnergyProfile, beta: float, n: int):
     """ln Z, <E> and Var(E) at multiplier beta, from one pass over the orbits
     with the max exponent factored out."""
-    _check_n(profile, n)
     e = profile.orbit_energies
     a = -beta * e / n
     m = float(np.max(a))
@@ -85,11 +84,13 @@ def _moments(profile: EnergyProfile, beta: float, n: int):
 
 def log_partition(profile: EnergyProfile, beta: float, n: int) -> float:
     """ln sum_s exp(-beta E(s)/n)."""
+    _check_n(profile, n)
     return _moments(profile, beta, n)[0]
 
 
 def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
     """Gibbs-average total energy sum_s E(s) P(s) at multiplier beta."""
+    _check_n(profile, n)
     return _moments(profile, beta, n)[1]
 
 

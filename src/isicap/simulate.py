@@ -42,14 +42,13 @@ every draw goes through ndtri.
 """
 
 import math
-import numbers
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperators, apply_channel, apply_inverse
+from .channel import ChannelOperators, _as_int, apply_channel, apply_inverse
 
 # Blocks per chunk, the unit of work of one job.  Fixed, since it sets where
 # each chunk's words start, so results for a given config are reproducible
@@ -89,18 +88,15 @@ class NoisySimConfig:
     def __post_init__(self):
         if not 0.0 < self.sigma < math.inf:
             raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
-        count, seed = self.num_symbols, self.seed
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral):
-            raise ValueError(f"num_symbols must be an int, got {count!r}")
-        if count <= 0:
+        # numpy integers are stored as int, so the draw offsets cannot overflow.
+        object.__setattr__(self, "num_symbols", _as_int("num_symbols", self.num_symbols))
+        if self.num_symbols <= 0:
             raise ValueError("num_symbols must be positive")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must lie in [0, 1]")
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"seed must be a nonnegative int, got {seed!r}")
-        # numpy integers are stored as int, so the draw offsets cannot overflow.
-        object.__setattr__(self, "num_symbols", int(count))
-        object.__setattr__(self, "seed", int(seed))
+        object.__setattr__(self, "seed", _as_int("seed", self.seed))
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative int, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

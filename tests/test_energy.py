@@ -1,6 +1,7 @@
 """Energy QP: analytic path, active-set solver, exhaustive profiles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -271,6 +272,30 @@ def test_profile_at_cap_matches_certified_energy():
         closed = np.array([DELTA**2 * s @ gram @ s for s in pats])
         lowered = certified < closed * (1 - 1e-9)
         assert lowered.any() and not lowered.all()
+
+
+def test_profile_near_null_channel_matches_exact():
+    # |f| dips to 1e-3 at N = 12, so cond(G) is about 4e6.  The closed-form
+    # energies must not lose digits to cancellation in s'Gs.
+    a, n = 0.999, 12
+    ops = build_operators(ChannelSpec((1.0, a), DELTA, n))
+    prof = enumerate_profile(ops)
+    # M_h^{-1} = sum_k (-a P)^k / (1 - (-a)^N) for the cyclic shift P, in exact
+    # rationals of the float taps.
+    fa, fd = Fraction(a), Fraction(DELTA)
+    closed_form = []
+    for code in prof.orbit_codes:
+        s = [int(v) for v in pattern_from_code(int(code), n)]
+        x = [sum((-fa) ** k * s[i - k] for k in range(n)) / (1 - (-fa) ** n) for i in range(n)]
+        closed_form.append(float(fd**2 * sum(v * v for v in x)))
+    closed_form = np.array(closed_form)
+    certified = np.array([
+        energy(ops, pattern_from_code(int(c), n)).energy for c in prof.orbit_codes
+    ])
+    np.testing.assert_allclose(prof.orbit_energies, certified, rtol=1e-12, atol=0)
+    optimal = certified >= closed_form * (1 - 1e-9)
+    assert optimal.any() and not optimal.all()
+    np.testing.assert_allclose(prof.orbit_energies[optimal], closed_form[optimal], rtol=1e-12, atol=0)
 
 
 def test_delta_scaling_profile():
