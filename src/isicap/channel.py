@@ -17,6 +17,7 @@ is a label only: the energy layer checks optimality pattern by pattern.
 """
 
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,12 @@ class ChannelSpec:
             raise ValueError("all taps are zero")
         if not 0 < self.delta < np.inf:
             raise ValueError("delta must be positive and finite")
+        # Energies and powers scale by delta^2, so it must be a normal float:
+        # an overflow to inf or an underflow to 0 or a subnormal is rejected
+        # here (delta**2 itself raises OverflowError, and an int delta squares
+        # exactly).
+        if not sys.float_info.min <= self.delta * self.delta <= sys.float_info.max:
+            raise ValueError(f"delta^2 must be a normal float, got delta={self.delta!r}")
         object.__setattr__(self, "block_len", _as_int("block_len", self.block_len))
         if self.block_len < len(taps):
             raise ValueError("block_len must be at least the tap count")

@@ -26,11 +26,12 @@ The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
 0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
 exhaustive profile solves one pattern per orbit under rotation and negation
 (26,272 orbits for the 2^20 patterns at N = 20).  The orbits are listed
-directly: binary necklaces (least rotations) come from the iterative
-Fredricksen-Kessler-Maiorana algorithm, and a necklace is kept when it is
-not above the least rotation of its complement.  Each orbit carries its
-size, the necklace's period, doubled when the complement lies in another
-rotation class.
+directly: binary necklaces (least rotations) come from the tree of
+prenecklaces of Fredricksen, Kessler and Maiorana, built in numpy one level
+(word length) at a time, and a necklace is kept when it is not above the
+least rotation of its complement.  Each orbit carries its size, the
+necklace's period, doubled when the complement lies in another rotation
+class.
 """
 
 import math
@@ -102,8 +103,11 @@ class EnergyProfile:
         return float(self.orbit_energies[np.searchsorted(self.orbit_codes, least)])
 
     def minimizer_codes(self) -> np.ndarray:
-        tie = self.e_min * (1 + MIN_TIE_TOL)
-        return np.flatnonzero(self.energies <= tie)
+        """Increasing codes of the patterns tied with e_min, expanded from the
+        tied orbits only (the 2^N energies are not built)."""
+        tied = self.orbit_codes[self.orbit_energies <= self.e_min * (1 + MIN_TIE_TOL)]
+        mask = (1 << self.n) - 1
+        return np.unique([(r, r ^ mask) for r in _rotations(tied, self.n)])
 
 
 def pattern_from_code(code: int, n: int) -> np.ndarray:
@@ -250,32 +254,62 @@ def _rotations(codes: np.ndarray, n: int):
 
 
 def _least_rotation(codes: np.ndarray, n: int) -> np.ndarray:
+    """The least rotation of each n-bit code (n <= 31).  Rotation k is read off
+    the code written twice, (c << n | c) >> k, into one scratch buffer."""
+    mask = (1 << n) - 1
     least = codes.copy()
-    for rotated in _rotations(codes, n):
-        np.minimum(least, rotated, out=least)
+    doubled = (codes << n) | codes
+    turned = np.empty_like(codes)
+    for k in range(1, n):
+        np.right_shift(doubled, k, out=turned)
+        turned &= mask
+        np.minimum(least, turned, out=least)
     return least
 
 
 def _necklaces(n: int):
     """Binary necklaces of length n in increasing order, with their periods.
 
-    Iterative FKM: raise the last 0 of the current prenecklace to 1 and repeat
-    the prefix that ends there, of length p, periodically to length n.  The
-    result is a necklace exactly when p divides n, and then p is its period.
+    The tree of prenecklaces is built one level (word length t) at a time.  A
+    prenecklace w whose longest Lyndon prefix has length p extends by a bit b
+    exactly when b is at least its reference bit r = (w >> (p-1)) & 1: the
+    child 2w + r keeps period p, and when r = 0 the child 2w + 1 is a Lyndon
+    word of period t + 1.  Children of increasing parents are increasing, so
+    each level stays sorted.  At length n the prenecklaces whose period
+    divides n are the necklaces.
     """
-    mask = (1 << n) - 1
-    reps = [-(-n // p) for p in range(1, n + 1)]
-    repunit = [0] + [((1 << (r * p)) - 1) // ((1 << p) - 1) for p, r in enumerate(reps, 1)]
-    excess = [0] + [r * p - n for p, r in enumerate(reps, 1)]
-    codes, periods, word = [0], [1], 0
-    while word != mask:
-        ones = (word ^ (word + 1)).bit_length() - 1  # trailing 1s
-        p = n - ones
-        word = (((word >> ones) + 1) * repunit[p]) >> excess[p]
-        if n % p == 0:
-            codes.append(word)
-            periods.append(p)
-    return np.array(codes, dtype=np.int64), np.array(periods, dtype=np.int64)
+    # Level t holds one prenecklace per Lyndon word of length at most t (that
+    # word repeated), and n has one necklace per Lyndon word whose length
+    # divides n; d * lyndon[d] summed over the divisors d of m is 2^m.  So the
+    # buffers are sized once, for the largest level, and reused.
+    lyndon = [0] * (n + 1)
+    for m in range(1, n + 1):
+        lyndon[m] = ((1 << m) - sum(d * lyndon[d] for d in range(1, m) if m % d == 0)) // m
+    parents = sum(lyndon[:n])
+    necklaces = sum(lyndon[d] for d in range(1, n + 1) if n % d == 0)
+    words = np.empty((2, max(parents, necklaces)), dtype=np.int64)
+    periods = np.empty(words.shape, dtype=np.uint8)
+    kids = np.empty((parents, 2), dtype=np.int64)
+    kid_periods = np.empty(kids.shape, dtype=np.uint8)
+    keep = np.empty(kids.shape, dtype=bool)
+    words[0, :2], periods[0, :2], size = (0, 1), 1, 2
+    for t in range(1, n):
+        w, p = words[(t - 1) % 2, :size], periods[(t - 1) % 2, :size]
+        k, kp, kk = kids[:size], kid_periods[:size], keep[:size]
+        # The reference bit r goes to column 1 until the children are formed.
+        np.right_shift(w, p - 1, out=k[:, 1])
+        k[:, 1] &= 1
+        np.equal(k[:, 1], 0, out=kk[:, 1])
+        np.left_shift(w, 1, out=k[:, 0])
+        k[:, 0] += k[:, 1]
+        np.bitwise_or(k[:, 0], 1, out=k[:, 1])
+        kp[:, 0], kp[:, 1] = p, t + 1
+        kk[:, 0] = True if t + 1 < n else n % p == 0
+        size = np.count_nonzero(kk)
+        words[t % 2, :size] = k[kk]
+        periods[t % 2, :size] = kp[kk]
+    last = (n - 1) % 2
+    return words[last, :size].copy(), periods[last, :size].astype(np.int64)
 
 
 def _orbits(n: int):

@@ -128,6 +128,18 @@ def test_non_finite_spec_rejected(taps, delta):
         ChannelSpec(taps, delta, 8)
 
 
+@pytest.mark.parametrize("delta", [1e200, 1e155, 10**200, 1e-170, 1e-155])
+def test_delta_square_must_be_normal(delta):
+    # delta^2 overflows to inf, underflows to 0 or is subnormal.
+    with pytest.raises(ValueError, match="delta\\^2 must be a normal float"):
+        ChannelSpec((1.0, 0.2), delta, 8)
+
+
+@pytest.mark.parametrize("delta", [1e-150, 1e150])
+def test_delta_square_normal_accepted(delta):
+    assert ChannelSpec((1.0, 0.2), delta, 8).delta == delta
+
+
 def test_overflowing_gram_rejected():
     # |f|^2 underflows, so 1/|f|^2 is inf although the taps are finite.
     with pytest.raises(SingularChannel):

@@ -222,6 +222,32 @@ def test_non_finite_grid_rejected(capsys, grid):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("cmd", ["capacity", "markov", "energy"])
+@pytest.mark.parametrize("delta", ["1e200", "1e-170"])
+def test_delta_square_out_of_range_rejected(capsys, cmd, delta):
+    # 1e200 squared overflows; 1e-170 squared underflows to 0, which once
+    # gave a SATURATED capacity row with exit 0.
+    grid = ("--n", "6") if cmd == "energy" else ("--grid", "0.8")
+    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", "--delta", delta, *grid)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("isicap: delta^2 must be a normal float")
+
+
+def test_capacity_invariant_under_delta_scale(capsys):
+    # In P/delta^2 units the capacity does not depend on delta.
+    def bits(delta):
+        _, out, _ = run_cli(
+            capsys, "capacity", "--taps", "1,0.2", "--delta", delta, "--grid", "0.8"
+        )
+        return float(parse_csv(out)[1][0][1])
+
+    ref = bits("0.3")
+    assert ref == pytest.approx(0.6678651031881762, rel=1e-12)
+    for delta in ("1e-8", "1e8"):
+        assert bits(delta) == pytest.approx(ref, rel=1e-12)
+
+
 def test_raw_units_flag(capsys):
     _, out_norm, _ = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.9")
     _, out_raw, _ = run_cli(

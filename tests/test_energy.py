@@ -24,7 +24,7 @@ from isicap import (
     solve_energy_qp,
 )
 from isicap.channel import DENSE_GRAM_CAP
-from isicap.energy import _CHUNK, ENUMERATION_CAP, MIN_TIE_TOL, _orbits
+from isicap.energy import _CHUNK, ENUMERATION_CAP, MIN_TIE_TOL, _necklaces, _orbits
 from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
@@ -243,7 +243,7 @@ def test_sign_symmetry_exhaustive():
 
 
 def test_enumeration_cap():
-    ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, 21))
+    ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, ENUMERATION_CAP + 1))
     with pytest.raises(TooLarge):
         enumerate_profile(ops)
 
@@ -309,12 +309,44 @@ def test_profile_energies_read_only(two_tap_profile):
         two_tap_profile.energies[0] = -1.0
 
 
-@pytest.mark.parametrize("n, count", [(12, 180), (14, 596), (16, 2068), (20, 26272)])
+@pytest.mark.parametrize(
+    "n, count", [(12, 180), (14, 596), (16, 2068), (20, 26272), (22, 95420), (24, 349716)]
+)
 def test_orbit_counts_match_burnside(n, count):
     codes, mult = _orbits(n)
     assert codes.size == count
     assert int(mult.sum()) == 1 << n
     assert np.all(np.diff(codes) > 0)
+
+
+def _fkm_necklaces(n):
+    """Binary necklaces of length n and their periods by the iterative
+    Fredricksen-Kessler-Maiorana loop, one word at a time: raise the last 0 of
+    the current prenecklace to 1 and repeat the prefix that ends there, of
+    length p, periodically to length n; the result is a necklace exactly when
+    p divides n, and then p is its period."""
+    mask = (1 << n) - 1
+    reps = [-(-n // p) for p in range(1, n + 1)]
+    repunit = [0] + [((1 << (r * p)) - 1) // ((1 << p) - 1) for p, r in enumerate(reps, 1)]
+    excess = [0] + [r * p - n for p, r in enumerate(reps, 1)]
+    codes, periods, word = [0], [1], 0
+    while word != mask:
+        ones = (word ^ (word + 1)).bit_length() - 1  # trailing 1s
+        p = n - ones
+        word = (((word >> ones) + 1) * repunit[p]) >> excess[p]
+        if n % p == 0:
+            codes.append(word)
+            periods.append(p)
+    return np.array(codes, dtype=np.int64), np.array(periods, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_necklaces_match_fkm_loop(n):
+    codes, periods = _necklaces(n)
+    ref_codes, ref_periods = _fkm_necklaces(n)
+    assert codes.dtype == periods.dtype == np.int64
+    np.testing.assert_array_equal(codes, ref_codes)
+    np.testing.assert_array_equal(periods, ref_periods)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -337,14 +369,16 @@ def test_orbit_profile_matches_per_code_enumeration(taps, n):
     ops = build_operators(ChannelSpec(taps, DELTA, n))
     brute = np.array([energy(ops, pattern_from_code(c, n)).energy for c in range(1 << n)])
     prof = enumerate_profile(ops)
+    tied = np.flatnonzero(brute <= brute.min() * (1 + MIN_TIE_TOL))
+    np.testing.assert_array_equal(prof.minimizer_codes(), tied)
+    # The minimizers come from the tied orbits, not from the 2^N energies.
+    assert "energies" not in prof.__dict__
     assert prof.n == n
     np.testing.assert_allclose(prof.energies, brute, rtol=1e-12)
     assert prof.e_min == pytest.approx(brute.min(), rel=1e-12)
     assert prof.e_max == pytest.approx(brute.max(), rel=1e-12)
     assert prof.e_mean == pytest.approx(math.fsum(brute.tolist()) / (1 << n), rel=1e-12)
-    tied = np.flatnonzero(brute <= brute.min() * (1 + MIN_TIE_TOL))
     assert prof.min_count == tied.size
-    np.testing.assert_array_equal(prof.minimizer_codes(), tied)
     # e_mean is the correctly rounded mean of the expanded energies.
     assert prof.e_mean == math.fsum(prof.energies.tolist()) / (1 << n)
     for code in range(0, 1 << n, 3):
