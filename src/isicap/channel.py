@@ -86,12 +86,14 @@ class ChannelOperators:
     """Precomputed circulant actions for one ChannelSpec.
 
     dft_gains      -- f(2*pi*k/N) for k = 0..N-1
+    spec_weight    -- 1/|f(2*pi*k/N)|^2 for k = 0..N-1, the eigenvalues of G
     gram_generator -- first column of G = (M_h M_h^T)^{-1} (G is circulant)
     dd_flag        -- True iff G is diagonally dominant
     """
 
     spec: ChannelSpec
     dft_gains: np.ndarray
+    spec_weight: np.ndarray
     gram_generator: np.ndarray
     dd_flag: bool
 
@@ -145,7 +147,8 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
             "channel matrix is numerically singular"
         )
 
-    gram_gen = np.fft.ifft(1.0 / np.abs(fft_col) ** 2).real
+    weight = 1.0 / np.abs(fft_col) ** 2
+    gram_gen = np.fft.ifft(weight).real
     if not np.all(np.isfinite(gram_gen)):
         raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
 
@@ -154,11 +157,12 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
     off_mass = np.sum(np.abs(gram_gen[1:]))
     dd_flag = bool(gram_gen[0] >= off_mass - DD_TOL * max(1.0, abs(gram_gen[0])))
 
-    for arr in (gains, gram_gen):
+    for arr in (gains, weight, gram_gen):
         arr.flags.writeable = False
     return ChannelOperators(
         spec=spec,
         dft_gains=gains,
+        spec_weight=weight,
         gram_generator=gram_gen,
         dd_flag=dd_flag,
     )

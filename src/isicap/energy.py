@@ -19,7 +19,11 @@ to the solver.  The solver is a primal active-set method
 (Lawson-Hanson) started at the closed form: it frees the bound with the most
 negative multiplier, minimizes over the free z_i with the others held at
 delta, steps back to feasibility when a free z_i would fall below delta, and
-stops after finitely many pivots once mu >= 0.  Each result carries x*, the
+stops after finitely many pivots once mu >= 0.  The minimization needs no
+channel action: with w = s*(z - delta), zero off the free set F, it solves
+G_FF w_F = -delta*(Gs)_F, a k x k system gathered from the generator of G
+with G*s formed once per pattern, and sets z_F = delta + s_F*w_F.  Only the
+multipliers take an FFT, one per pivot.  Each result carries x*, the
 dual mu and their duality gap, which certifies it.
 
 The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
@@ -54,6 +58,9 @@ DUAL_TOL = 1e-12
 MIN_TIE_TOL = 1e-9
 
 _CHUNK = 1 << 14
+
+# Smallest normal float: the floor on a step's span, which keeps it positive.
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -133,8 +140,8 @@ def _as_pattern(n: int, s) -> np.ndarray:
 
 def _gram_apply(ops: ChannelOperators, rows: np.ndarray) -> np.ndarray:
     """G acting on each row, via the spectral form of the circulant G."""
-    spec_weight = 1.0 / np.abs(ops.fft_col[: ops.n // 2 + 1]) ** 2
-    return np.fft.irfft(np.fft.rfft(rows, axis=-1) * spec_weight, n=ops.n, axis=-1)
+    half = ops.spec_weight[: ops.n // 2 + 1]
+    return np.fft.irfft(np.fft.rfft(rows, axis=-1) * half, n=ops.n, axis=-1)
 
 
 def _dual_tol(ops: ChannelOperators) -> float:
@@ -155,21 +162,24 @@ def analytic_energy(ops: ChannelOperators, s) -> EnergySolution:
     return EnergySolution(energy=energy, x_star=x_star, dual=dual, gap=0.0)
 
 
-def _free_set_optimum(ops, s, free):
-    """Per row, the minimizer of z'Az with z = delta off the free set; the free
-    indices go to the front of a k x k system, padded with identity rows."""
+def _free_set_optimum(ops, s, gs, free):
+    """Per row, the minimizer of z'Az with z = delta off the free set F.
+
+    With w = s*(z - delta), zero off F, the free rows of Az = 0 read
+    G_FF w_F = -delta*(Gs)_F, so z_F = delta + s_F*w_F needs G*s (gs) only,
+    no channel action.  The free indices go to the front of a k x k system,
+    padded with identity rows whose w is 0.
+    """
     k = int(free.sum(axis=1).max())
+    ri = np.arange(s.shape[0])[:, None]
     order = np.argsort(~free, axis=1, kind="stable")[:, :k]
-    valid = np.take_along_axis(free, order, axis=1)
-    s_o = np.take_along_axis(s, order, axis=1)
+    valid = free[ri, order]
     sub = ops.gram_generator[(order[:, :, None] - order[:, None, :]) % ops.n]
-    sub *= s_o[:, :, None] * s_o[:, None, :]
     sub = np.where(valid[:, :, None] & valid[:, None, :], sub, np.eye(k))
-    rhs = np.take_along_axis(-ops.delta * s * _gram_apply(ops, s * ~free), order, axis=1)
-    sol = np.linalg.solve(sub, np.where(valid, rhs, ops.delta)[..., None])[..., 0]
-    z = np.full(s.shape, ops.delta)
-    np.put_along_axis(z, order, sol, axis=1)
-    return z
+    rhs = np.where(valid, -ops.delta * gs[ri, order], 0.0)
+    w = np.zeros(s.shape)
+    w[ri, order] = np.linalg.solve(sub, rhs[..., None])[..., 0]
+    return ops.delta + s * w
 
 
 def _active_set(ops, s, budget):
@@ -177,6 +187,7 @@ def _active_set(ops, s, budget):
     row of s from z = delta.  Returns z and mu = 2Az (0 on the free set) once
     mu >= -tol or after budget pivots."""
     delta, tol = ops.delta, _dual_tol(ops)
+    gs = _gram_apply(ops, s)
     z = np.full(s.shape, delta)
     free = np.zeros(s.shape, dtype=bool)
     mu = np.empty(s.shape)
@@ -191,16 +202,18 @@ def _active_set(ops, s, budget):
             break
         free[live, j] = True
         step = live
-        while step.size:
-            zp = _free_set_optimum(ops, s[step], free[step])
+        while True:
+            zp = _free_set_optimum(ops, s[step], gs[step], free[step])
             done = np.all((zp > delta) | ~free[step], axis=1)
             z[step[done]] = zp[done]
+            if done.all():
+                break
             step, zp = step[~done], zp[~done]
             # Step toward zp until a free z_i reaches delta (the ratios on low
             # entries lie in [0, 1]) and bind every free entry that got there.
             zs, fs, rows = z[step], free[step], np.arange(step.size)
             low = fs & (zp <= delta)
-            span = np.where(low, np.maximum(zs - zp, np.finfo(float).tiny), 1.0)
+            span = np.where(low, np.maximum(zs - zp, _TINY), 1.0)
             ratio = (zs - delta) / span
             first = np.argmin(np.where(low, ratio, np.inf), axis=1)
             zs += ratio[rows, first][:, None] * (zp - zs)
@@ -330,14 +343,13 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
         raise TooLarge(f"exhaustive enumeration capped at N={ENUMERATION_CAP}")
     codes, mult = _orbits(n)
     gram = ops.gram_inverse()
-    spec_weight = 1.0 / np.abs(ops.fft_col) ** 2
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
         pats = pattern_from_code(codes[start : start + _CHUNK, None], n)
         # s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
         # terms, so it keeps its digits however ill-conditioned G is; the dense
         # sum over s_i s_j g_{i-j} cancels terms of size g_0.
-        vals = ops.delta**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ spec_weight) / n)
+        vals = ops.delta**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ ops.spec_weight) / n)
         # 2*delta times row i of diag(s) G s is the closed form's dual: rows
         # with a negative entry pivot.
         sgs = (pats @ gram) * pats
@@ -368,4 +380,4 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
 def mean_energy_trace(ops: ChannelOperators) -> float:
     """Mean energy over all patterns: delta^2 * tr((M_h M_h^T)^{-1}) =
     delta^2 * sum_k 1/|f(2*pi*k/N)|^2."""
-    return ops.delta**2 * float(np.sum(1.0 / np.abs(ops.fft_col) ** 2))
+    return ops.delta**2 * float(np.sum(ops.spec_weight))

@@ -84,7 +84,7 @@ def power_finite_n(ops: ChannelOperators, scheme: MarkovScheme) -> float:
     n = ops.n
     if n > DENSE_CAP:
         raise TooLarge(f"finite-N power evaluation capped at N={DENSE_CAP}")
-    diag_sum = np.sum(1.0 / np.abs(ops.fft_col) ** 2)
+    diag_sum = np.sum(ops.spec_weight)
     t = np.arange(1, n)
     tail = np.sum((n - t) * scheme.rho**t * ops.gram_generator[1:])
     total = diag_sum + 2.0 * tail

@@ -169,6 +169,18 @@ def test_markov_patterns_certified_on_strong_two_tap():
         _assert_certified(ops, m, g, s, energy(ops, s))
 
 
+def test_markov_patterns_certified_at_large_block():
+    # The N = 256 point queries of the benchmark's large-block workload.
+    n, taps = 256, (-0.3, 1.0, 0.6)
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    m = circulant_matrix(taps, n)
+    g = np.linalg.inv(m @ m.T)
+    for s in _markov_patterns(np.random.default_rng(37), 32, n):
+        sol = energy(ops, s)
+        _assert_certified(ops, m, g, s, sol)
+        assert sol.energy == pytest.approx(_nnls_energy(g, s, DELTA), rel=1e-9)
+
+
 # Channels with 0.1 <= |f| <= 10 |f|_min, so G is finite and well conditioned.
 @st.composite
 def _channels(draw):

@@ -230,6 +230,62 @@ def test_matches_reference_loop(taps, n, symbols, sigma, alpha):
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
 
 
+def _spy_on_channel_action(monkeypatch):
+    """Record the number of blocks each simulator call to apply_channel gets."""
+    blocks = []
+
+    def spy(ops, x):
+        blocks.append(x.shape[0])
+        return apply_channel(ops, x)
+
+    monkeypatch.setattr(simulate, "apply_channel", spy)
+    return blocks
+
+
+def _margin_at(monkeypatch, ops, fraction):
+    """Set the rounding margin of a run on ops to fraction * delta."""
+    mags = np.abs(ops.dft_gains)
+    scale = mags.max() / mags.min() * math.log2(2 * ops.n)
+    monkeypatch.setattr(simulate, "_ROUNDING_MARGIN", fraction / scale)
+
+
+@pytest.mark.parametrize(
+    "taps, n, symbols, sigma",
+    [
+        ((1.0, 0.2), 12, 50_003, 0.12),
+        ((-0.3, 1.0, 0.6), 256, 256 * 300 + 17, 0.1),
+    ],
+)
+def test_near_tails_fall_back_to_channel_action(monkeypatch, taps, n, symbols, sigma):
+    # A margin of delta/10 puts some tails within 2*margin of 0, and their
+    # blocks take y from the channel action; the others are decided on delta*s.
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    cfg = NoisySimConfig(sigma=sigma, num_symbols=symbols, seed=19, alpha=0.6)
+    blocks = _spy_on_channel_action(monkeypatch)
+    _margin_at(monkeypatch, ops, 0.1)
+    assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
+    assert 0 < sum(blocks) < -(-symbols // n)
+
+
+@pytest.mark.parametrize("taps, n", [((1.0, 0.2), 12), ((-0.3, 1.0, 0.6), 256)])
+def test_margin_above_delta_empties_the_band(monkeypatch, taps, n):
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    _margin_at(monkeypatch, ops, 1.5)
+    lo, hi = _quiet_band((ops.delta - simulate._rounding_margin(ops)) / 0.1)
+    assert lo > hi
+    blocks = _spy_on_channel_action(monkeypatch)
+    cfg = NoisySimConfig(sigma=0.1, num_symbols=n * 200 + 5, seed=29, alpha=0.6)
+    assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
+    assert sum(blocks) > 0
+
+
+def test_normal_run_never_applies_the_channel(monkeypatch, two_tap_ops):
+    blocks = _spy_on_channel_action(monkeypatch)
+    cfg = NoisySimConfig(sigma=0.12, num_symbols=50_003, seed=17, alpha=0.6)
+    assert simulate_zero_forcing(two_tap_ops, cfg) == reference_simulation(two_tap_ops, cfg)
+    assert blocks == []
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_worker_count_leaves_report_unchanged(monkeypatch, workers):
     # Ten chunks, so that the order of the energy sum shows; the last chunk
