@@ -14,7 +14,7 @@ import numpy as np
 
 from isicap import (
     ChannelSpec,
-    achievable_rate_detail,
+    achievable_rate_curve,
     build_operators,
     capacity_curve,
     enumerate_profile,
@@ -43,10 +43,10 @@ floor = profile.e_min / (N * DELTA**2)
 ceiling = profile.e_mean / (N * DELTA**2)
 grid = np.linspace(floor, ceiling, 10)
 rows = capacity_curve(ops, list(grid * DELTA**2))
+rates = achievable_rate_curve(spec, [float(x) * DELTA**2 for x in grid], power_model="finite")
 
 print(f"{'P/d^2':>8}  {'C (N=12)':>9}  {'R_markov':>9}")
-for x, (_, sol) in zip(grid, rows):
-    rate, _ = achievable_rate_detail(spec, float(x) * DELTA**2, power_model="finite")
+for x, (_, sol), (rate, _) in zip(grid, rows, rates):
     print(f"{x:8.4f}  {sol.entropy_bits_per_use:9.4f}  {rate:9.4f}")
 
 print()

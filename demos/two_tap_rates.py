@@ -13,7 +13,7 @@ import numpy as np
 
 from isicap import (
     ChannelSpec,
-    achievable_rate_detail,
+    achievable_rate_curve,
     build_operators,
     capacity_curve,
     pbar_two_tap,
@@ -37,10 +37,10 @@ print()
 
 grid = np.linspace(floor, ceiling, 16)
 rows = capacity_curve(ops, list(grid * DELTA**2))
+rates = achievable_rate_curve(spec, [float(x) * DELTA**2 for x in grid])
 
 print(f"{'P/d^2':>8}  {'C (N=12)':>9}  {'R_markov':>9}  {'closed':>9}  {'alpha*':>7}")
-for x, (_, sol) in zip(grid, rows):
-    rate, alpha = achievable_rate_detail(spec, float(x) * DELTA**2)
+for x, (_, sol), (rate, alpha) in zip(grid, rows, rates):
     closed = rate_two_tap_closed_form(EPS, DELTA, float(x) * DELTA**2)
     a = f"{alpha:.4f}" if np.isfinite(alpha) else "  --"
     print(

@@ -49,6 +49,7 @@ from .gibbs import (
 from .markov import (
     MarkovScheme,
     achievable_rate,
+    achievable_rate_curve,
     achievable_rate_detail,
     correlation,
     entropy_rate_bits,
@@ -91,6 +92,7 @@ __all__ = [
     "SingularChannel",
     "TooLarge",
     "achievable_rate",
+    "achievable_rate_curve",
     "achievable_rate_detail",
     "analytic_energy",
     "apply_channel",

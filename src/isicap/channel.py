@@ -147,8 +147,11 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
             "channel matrix is numerically singular"
         )
 
-    weight = 1.0 / np.abs(fft_col) ** 2
-    gram_gen = np.fft.ifft(weight).real
+    # An |f|^2 that underflows makes the weight and the generator non-finite,
+    # which the check below rejects, so numpy's warnings on the way are moot.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        weight = 1.0 / np.abs(fft_col) ** 2
+        gram_gen = np.fft.ifft(weight).real
     if not np.all(np.isfinite(gram_gen)):
         raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
 

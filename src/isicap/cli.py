@@ -25,7 +25,7 @@ from .exceptions import (
     QuadratureFailure,
 )
 from .gibbs import Regime, capacity_curve
-from .markov import achievable_rate_detail
+from .markov import achievable_rate_curve
 from .simulate import NoisySimConfig, simulate_zero_forcing
 from .spectral import pbar_two_tap, pmin_two_tap
 
@@ -128,8 +128,8 @@ def cmd_markov(args):
     spec, pairs = _gridded_spec(args)
     lines = _config_lines("markov", spec, args.seed, extra=f"power_model={args.power_model}")
     lines.append("p_over_delta2,rate_bits,alpha_star")
-    for p_raw, shown in pairs:
-        rate, alpha = achievable_rate_detail(spec, p_raw, power_model=args.power_model)
+    rows = achievable_rate_curve(spec, [p for p, _ in pairs], power_model=args.power_model)
+    for (_, shown), (rate, alpha) in zip(pairs, rows):
         lines.append(f"{_fmt(shown)},{_fmt(rate)},{_fmt(alpha)}")
     return lines, EXIT_OK
 
@@ -194,8 +194,8 @@ def _fig3_lines(block_len: int):
             lines.append(
                 f"C_eps{_fmt(eps)},{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},{verified}"
             )
-        for x in grid:
-            rate, _ = achievable_rate_detail(spec, float(x) * d2)
+        rates = achievable_rate_curve(spec, [float(x) * d2 for x in grid])
+        for x, (rate, _) in zip(grid, rates):
             lines.append(f"Rm_eps{_fmt(eps)},{_fmt(x)},{_fmt(rate)},{verified}")
     return lines
 
@@ -211,8 +211,8 @@ def _fig4_lines(block_len: int):
         lines.append(f"C,{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},true")
     # The published Markov curve reflects the block-length-12 power, not its
     # large-N limit, so the finite model is used here.
-    for x in _FIG4_MARKOV_X:
-        rate, _ = achievable_rate_detail(spec, x * d2, power_model="finite")
+    rates = achievable_rate_curve(spec, [x * d2 for x in _FIG4_MARKOV_X], power_model="finite")
+    for x, (rate, _) in zip(_FIG4_MARKOV_X, rates):
         lines.append(f"Rm,{_fmt(x)},{_fmt(rate)},true")
     return lines
 

@@ -22,6 +22,14 @@ and stays accurate uniformly in rho, with closed forms at rho = +-1.
 The best rate under a power budget maximizes H2(alpha) subject to
 P_zm(alpha) <= P; since H2 peaks at 1/2 and the power is monotone on each
 side, a bisection per branch finds the feasible alpha nearest 1/2.
+achievable_rate_curve solves a whole power grid at once.  It builds the
+power map of its model once per grid (the series coefficients, or the
+circulant operators) and bisects every grid point and both branches as one
+array.  One power evaluation settles up to five halvings through the dyadic
+nodes of every bracket, and each lane then follows the path that halving one
+step at a time would take, so every alpha and rate is that bisection's bit
+for bit.  Each power formula exists once, as an elementwise map over rho;
+power_finite_n, power_asymptotic and the one-budget rate functions call it.
 """
 
 import math
@@ -29,7 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperators, ChannelSpec, build_operators, frequency_response
+from .channel import (
+    ChannelOperators,
+    ChannelSpec,
+    _as_int,
+    build_operators,
+    frequency_response,
+)
 from .exceptions import TooLarge
 from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
 
@@ -39,6 +53,20 @@ from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
 DENSE_CAP = 4096
 
 _ALPHA_BISECT_TOL = 1e-10
+
+# Halvings of the alpha bracket, from width 1/2 until it is at most
+# _ALPHA_BISECT_TOL.
+_BISECT_STEPS = next(k for k in range(64) if 0.5 * 2.0**-k <= _ALPHA_BISECT_TOL)
+
+# Most halvings one power evaluation resolves, through 2^K - 1 nodes per
+# bracket.
+_LEVELS_PER_EVAL = 5
+
+# Power terms formed at once (the finite-N tail has N - 1 per rho, the series
+# one array entry).  A round takes fewer halvings where its nodes would hold
+# more, since evaluating more nodes then costs more than another round of
+# calls, and the finite-N tails are summed in blocks of rows of this size.
+_BLOCK_TERMS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -58,7 +86,8 @@ class MarkovScheme:
 
 
 def correlation(scheme: MarkovScheme, d: int) -> float:
-    """Lag-d sign correlation rho^d (rho^0 = 1)."""
+    """Lag-d sign correlation rho^d (rho^0 = 1) for an int lag d >= 0."""
+    d = _as_int("lag", d)
     if d < 0:
         raise ValueError("lag must be nonnegative")
     return float(scheme.rho**d)
@@ -75,36 +104,76 @@ def entropy_rate_bits(scheme: MarkovScheme) -> float:
     return _binary_entropy(scheme.alpha)
 
 
-def power_finite_n(ops: ChannelOperators, scheme: MarkovScheme) -> float:
-    """Exact per-use power delta^2/N * tr(R M_h^{-1} M_h^{-T}).
+def _finite_powers(ops: ChannelOperators):
+    """rho -> delta^2/N * tr(R M_h^{-1} M_h^{-T}) elementwise, for ops.
 
     With W = M_h^{-1} M_h^{-T} circulant (generator g = IDFT(1/|f|^2)) and R
     Toeplitz, the trace collapses to sum_k 1/|f_k|^2 + 2 sum_t (N-t) rho^t g_t.
+    Each tail is one pairwise np.sum over its own row of terms; rows are
+    taken in blocks of about _BLOCK_TERMS terms.
     """
     n = ops.n
     if n > DENSE_CAP:
         raise TooLarge(f"finite-N power evaluation capped at N={DENSE_CAP}")
     diag_sum = np.sum(ops.spec_weight)
     t = np.arange(1, n)
-    tail = np.sum((n - t) * scheme.rho**t * ops.gram_generator[1:])
-    total = diag_sum + 2.0 * tail
-    return ops.delta**2 * total / n
+    lags = n - t
+    g = ops.gram_generator[1:]
+    rows_per_block = max(1, _BLOCK_TERMS // max(1, n - 1))
+
+    def powers(rho):
+        rho = np.asarray(rho, dtype=float)
+        flat = rho.reshape(-1, 1)
+        tail = np.empty(flat.shape[0])
+        for r0 in range(0, flat.shape[0], rows_per_block):
+            block = flat[r0 : r0 + rows_per_block]
+            tail[r0 : r0 + rows_per_block] = np.sum(lags * block**t * g, axis=-1)
+        total = diag_sum + 2.0 * tail
+        return (ops.delta**2 * total / n).reshape(rho.shape)
+
+    return powers
 
 
-def _series_power(spec: ChannelSpec, coeffs: list, rho: float) -> float:
-    """delta^2 * (g_0 + 2 sum_d rho^d g_d) for the coefficients of 1/|f|^2.
+def _series_powers(spec: ChannelSpec):
+    """rho -> delta^2 * (g_0 + 2 sum_d rho^d g_d) elementwise, for the
+    coefficients g_d of 1/|f|^2.
 
-    At rho = +-1 the spectral kernel degenerates to a point mass at lam = 0
-    (resp. pi), giving delta^2/|f(0)|^2 (resp. delta^2/|f(pi)|^2) exactly.
+    Each element is summed by Horner's method in the order of the scalar
+    recurrence acc = acc*rho + g.  At rho = +-1 the spectral kernel
+    degenerates to a point mass at lam = 0 (resp. pi), giving
+    delta^2/|f(0)|^2 (resp. delta^2/|f(pi)|^2) exactly.
     """
-    if rho == 1.0:
-        return spec.delta**2 / abs(frequency_response(spec, 0.0)) ** 2
-    if rho == -1.0:
-        return spec.delta**2 / abs(frequency_response(spec, math.pi)) ** 2
-    acc = 0.0
-    for g in reversed(coeffs[1:]):
-        acc = acc * rho + g
-    return spec.delta**2 * (coeffs[0] + 2.0 * rho * acc)
+    coeffs = inverse_spectrum_coeffs(spec).tolist()
+    g0, tail = coeffs[0], coeffs[:0:-1]
+    d2 = spec.delta**2
+    at_one = d2 / abs(frequency_response(spec, 0.0)) ** 2
+    at_minus_one = d2 / abs(frequency_response(spec, math.pi)) ** 2
+
+    def powers(rho):
+        rho = np.asarray(rho, dtype=float)
+        acc = np.zeros(rho.shape)
+        for g in tail:
+            acc *= rho
+            acc += g
+        series = d2 * (g0 + 2.0 * rho * acc)
+        return np.where(rho == 1.0, at_one, np.where(rho == -1.0, at_minus_one, series))
+
+    return powers
+
+
+def _power_evaluator(spec: ChannelSpec, power_model: str):
+    """The rho -> power map of one power model, built once for spec, and the
+    number of power terms it forms per rho."""
+    if power_model == "asymptotic":
+        return _series_powers(spec), 1
+    if power_model == "finite":
+        return _finite_powers(build_operators(spec)), max(1, spec.block_len - 1)
+    raise ValueError(f"unknown power model {power_model!r}")
+
+
+def power_finite_n(ops: ChannelOperators, scheme: MarkovScheme) -> float:
+    """Exact per-use power delta^2/N * tr(R M_h^{-1} M_h^{-T})."""
+    return float(_finite_powers(ops)(scheme.rho))
 
 
 def power_asymptotic(spec: ChannelSpec, scheme: MarkovScheme) -> float:
@@ -112,54 +181,93 @@ def power_asymptotic(spec: ChannelSpec, scheme: MarkovScheme) -> float:
 
     Raises SingularChannel if the channel has a spectral null.
     """
-    return _series_power(spec, inverse_spectrum_coeffs(spec).tolist(), scheme.rho)
+    return float(_series_powers(spec)(scheme.rho))
 
 
-def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "asymptotic"):
-    """Max H2(alpha) s.t. P_zm(alpha) <= power; returns (rate, alpha_star).
+def _bisect(power_of, terms: int, budgets: np.ndarray, feasible: np.ndarray) -> np.ndarray:
+    """The feasible end of each lane's alpha bracket after _BISECT_STEPS
+    halvings from (1/2, feasible), one lane per (budget, endpoint); power_of
+    forms `terms` power terms per rho.
+
+    Each power evaluation covers up to _LEVELS_PER_EVAL halvings: it takes
+    the 2^K - 1 interior dyadic nodes of every bracket and then follows each
+    lane's path through them.  Brackets and nodes are dyadic rationals, so
+    node j of a bracket, ai + (af - ai) * j/2^K, is exactly the midpoint
+    0.5*(ai + af) a one-step-at-a-time bisection would reach there.
+    """
+    infeasible = np.full(feasible.shape, 0.5)
+    lanes = np.arange(feasible.size)
+    levels = _LEVELS_PER_EVAL
+    while levels > 1 and ((1 << levels) - 1) * lanes.size * terms > _BLOCK_TERMS:
+        levels -= 1
+    done = 0
+    while done < _BISECT_STEPS and lanes.size:
+        levels = min(levels, _BISECT_STEPS - done)
+        span = 1 << levels
+        width = feasible - infeasible
+        nodes = infeasible[:, None] + width[:, None] * (np.arange(1, span) / span)
+        ok = power_of(2.0 * nodes - 1.0) <= budgets[:, None]
+        lo = np.zeros(lanes.size, dtype=np.int64)
+        hi = np.full(lanes.size, span)
+        for _ in range(levels):
+            mid = (lo + hi) >> 1
+            step = ok[lanes, mid - 1]
+            hi = np.where(step, mid, hi)
+            lo = np.where(step, lo, mid)
+        infeasible, feasible = infeasible + width * (lo / span), infeasible + width * (hi / span)
+        done += levels
+    return feasible
+
+
+def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asymptotic") -> list:
+    """Max H2(alpha) s.t. P_zm(alpha) <= P for each budget P in powers; returns
+    one (rate, alpha_star) pair per budget.
 
     power_model selects the constraint: "asymptotic" uses the spectral-limit
     power (the definition of the rate), "finite" uses the exact block-length
     power at spec.block_len, which is what a length-N system pays.  Either
     model raises SingularChannel where its power is unbounded: a spectral
-    null anywhere on the unit circle, or at a DFT bin of length N.
+    null anywhere on the unit circle, or at a DFT bin of length N.  The
+    power model is built once, and every budget and both branches are
+    bisected together.
     """
-    if not math.isfinite(power):
-        raise ValueError(f"power must be finite, got {power!r}")
-    if power_model == "asymptotic":
-        coeffs = inverse_spectrum_coeffs(spec).tolist()
-
-        def power_of(alpha):
-            return _series_power(spec, coeffs, 2.0 * alpha - 1.0)
-    elif power_model == "finite":
-        ops = build_operators(spec)
-
-        def power_of(alpha):
-            return power_finite_n(ops, MarkovScheme(alpha))
-    else:
-        raise ValueError(f"unknown power model {power_model!r}")
-
-    if power_of(0.5) <= power:
-        return 1.0, 0.5
+    powers = list(powers)
+    for power in powers:
+        if not math.isfinite(power):
+            raise ValueError(f"power must be finite, got {power!r}")
+    if not powers:
+        return []
+    power_of, terms = _power_evaluator(spec, power_model)
+    budgets = np.array(powers, dtype=float)
+    at_half, at_one, at_zero = power_of(np.array([0.0, 1.0, -1.0])).tolist()
 
     # H2 falls off symmetrically away from 1/2, so search each branch for the
     # feasible alpha closest to 1/2; negative-tap channels can prefer the
-    # anti-correlated branch (alpha < 1/2).
-    best_rate, best_alpha = 0.0, math.nan
-    for endpoint in (1.0, 0.0):
-        if power_of(endpoint) > power:
-            continue
-        a_infeasible, a_feasible = 0.5, endpoint
-        while abs(a_feasible - a_infeasible) > _ALPHA_BISECT_TOL:
-            mid = 0.5 * (a_infeasible + a_feasible)
-            if power_of(mid) <= power:
-                a_feasible = mid
-            else:
-                a_infeasible = mid
-        rate = _binary_entropy(a_feasible)
+    # anti-correlated branch (alpha < 1/2).  Lanes of the alpha = 1 branch
+    # come first, so ties between branches go to it.
+    saturated = at_half <= budgets
+    points = [
+        np.flatnonzero(~saturated & ~(at_end > budgets)) for at_end in (at_one, at_zero)
+    ]
+    ends = np.repeat([1.0, 0.0], [p.size for p in points])
+    points = np.concatenate(points)
+    alphas = _bisect(power_of, terms, budgets[points], ends).tolist()
+
+    best = [(1.0, 0.5) if s else (0.0, math.nan) for s in saturated]
+    for point, alpha in zip(points.tolist(), alphas):
+        rate = _binary_entropy(alpha)
+        best_rate, best_alpha = best[point]
         if rate > best_rate or (rate == best_rate and math.isnan(best_alpha)):
-            best_rate, best_alpha = rate, a_feasible
-    return best_rate, best_alpha
+            best[point] = (rate, alpha)
+    return best
+
+
+def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "asymptotic"):
+    """Max H2(alpha) s.t. P_zm(alpha) <= power; returns (rate, alpha_star).
+
+    The one-budget case of achievable_rate_curve.
+    """
+    return achievable_rate_curve(spec, [power], power_model=power_model)[0]
 
 
 def achievable_rate(spec: ChannelSpec, power: float, power_model: str = "asymptotic") -> float:

@@ -59,6 +59,7 @@ falls back, slowly but still exactly.
 
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -208,10 +209,12 @@ def _simulate_chunk(
     chunk: int,
     margin: float,
     band: tuple,
+    buffers: threading.local,
 ):
     """(flips, energy) over chunk `chunk` of the run, read off its own words.
 
     margin bounds |y - delta*s| and band is the quiet band of the noise draws.
+    buffers holds the calling thread's work arrays for the run.
     """
     from scipy.special import ndtri
 
@@ -226,8 +229,11 @@ def _simulate_chunk(
     first_words = _words_at(key, start)
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
-    # x^2 of the chunk, summed once in the order of a chunk-wide sum.
-    squares = np.empty(take * n)
+    # x^2 of the chunk, summed once in the order of a chunk-wide sum.  Each
+    # worker allocates room for its largest chunk once and reuses it.
+    if not hasattr(buffers, "squares"):
+        buffers.squares = np.empty(min(_BLOCK_CHUNK, nblocks) * n)
+    squares = buffers.squares[: take * n]
 
     flips = 0
     for r0 in range(0, take, rows):
@@ -273,10 +279,12 @@ def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimR
     key = np.random.Philox(config.seed).state["state"]["key"]
     margin = _rounding_margin(ops)
     band = _quiet_band((ops.delta - margin) / config.sigma)
+    buffers = threading.local()
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), nchunks)) as pool:
         results = list(
             pool.map(
-                lambda c: _simulate_chunk(ops, config, key, c, margin, band), range(nchunks)
+                lambda c: _simulate_chunk(ops, config, key, c, margin, band, buffers),
+                range(nchunks),
             )
         )
 

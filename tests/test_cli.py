@@ -157,7 +157,7 @@ def test_numerical_failure_exit_code(capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise QuadratureFailure("grid budget exhausted")
 
-    monkeypatch.setattr(cli, "achievable_rate_detail", boom)
+    monkeypatch.setattr(cli, "achievable_rate_curve", boom)
     code, _, err = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.8")
     assert code == 3
     assert "numerical" in err

@@ -15,11 +15,14 @@ from isicap import (
     SingularChannel,
     TooLarge,
     achievable_rate,
+    achievable_rate_curve,
     achievable_rate_detail,
     build_operators,
     correlation,
     entropy_rate_bits,
     enumerate_profile,
+    frequency_response,
+    inverse_spectrum_coeffs,
     mean_energy_trace,
     pbar_asymptotic,
     pbar_two_tap,
@@ -29,6 +32,8 @@ from isicap import (
     power_two_tap_closed_form,
     rate_two_tap_closed_form,
 )
+import isicap.markov as markov
+from tests.reference_data import THREE_TAP_MARKOV
 from tests.test_channel import circulant_matrix
 
 DELTA = 0.3
@@ -56,6 +61,14 @@ def test_correlation_lags():
     assert correlation(sch, 3) == pytest.approx(0.6**3)
     with pytest.raises(ValueError):
         correlation(sch, -1)
+    assert correlation(sch, np.int64(2)) == correlation(sch, 2)
+
+
+@pytest.mark.parametrize("lag", [1.5, 2.0, True, "2"])
+def test_correlation_rejects_non_integer_lags(lag):
+    # A fractional power of a negative rho would be complex.
+    with pytest.raises(ValueError):
+        correlation(MarkovScheme(0.2), lag)
 
 
 def test_entropy_rate_endpoints_and_symmetry():
@@ -255,3 +268,137 @@ def test_closed_form_boundaries():
 def test_non_finite_power_rejected(power, model):
     with pytest.raises(ValueError):
         achievable_rate_detail(TWO_TAP, power, power_model=model)
+
+
+# The scalar power formulas and per-point bisection that achievable_rate_curve
+# reproduces bit for bit.
+def reference_power_finite_n(ops, scheme):
+    n = ops.n
+    diag_sum = np.sum(ops.spec_weight)
+    t = np.arange(1, n)
+    tail = np.sum((n - t) * scheme.rho**t * ops.gram_generator[1:])
+    total = diag_sum + 2.0 * tail
+    return ops.delta**2 * total / n
+
+
+def reference_series_power(spec, coeffs, rho):
+    if rho == 1.0:
+        return spec.delta**2 / abs(frequency_response(spec, 0.0)) ** 2
+    if rho == -1.0:
+        return spec.delta**2 / abs(frequency_response(spec, math.pi)) ** 2
+    acc = 0.0
+    for g in reversed(coeffs[1:]):
+        acc = acc * rho + g
+    return spec.delta**2 * (coeffs[0] + 2.0 * rho * acc)
+
+
+def reference_power_of(spec, power_model):
+    if power_model == "asymptotic":
+        coeffs = inverse_spectrum_coeffs(spec).tolist()
+        return lambda alpha: reference_series_power(spec, coeffs, 2.0 * alpha - 1.0)
+    ops = build_operators(spec)
+    return lambda alpha: reference_power_finite_n(ops, MarkovScheme(alpha))
+
+
+def reference_rate(spec, power, power_model="asymptotic"):
+    power_of = reference_power_of(spec, power_model)
+    if power_of(0.5) <= power:
+        return 1.0, 0.5
+    best_rate, best_alpha = 0.0, math.nan
+    for endpoint in (1.0, 0.0):
+        if power_of(endpoint) > power:
+            continue
+        a_infeasible, a_feasible = 0.5, endpoint
+        while abs(a_feasible - a_infeasible) > 1e-10:
+            mid = 0.5 * (a_infeasible + a_feasible)
+            if power_of(mid) <= power:
+                a_feasible = mid
+            else:
+                a_infeasible = mid
+        rate = entropy_rate_bits(MarkovScheme(a_feasible))
+        if rate > best_rate or (rate == best_rate and math.isnan(best_alpha)):
+            best_rate, best_alpha = rate, a_feasible
+    return best_rate, best_alpha
+
+
+def _same_rows(got, want):
+    assert len(got) == len(want)
+    for (rate, alpha), (ref_rate, ref_alpha) in zip(got, want):
+        assert rate == ref_rate
+        assert alpha == ref_alpha or (math.isnan(alpha) and math.isnan(ref_alpha))
+
+
+def _fig3_grid():
+    lo = pmin_two_tap(0.2, DELTA) / DELTA**2
+    hi = pbar_two_tap(0.2, DELTA) / DELTA**2
+    return [float(x) * DELTA**2 for x in np.linspace(lo, hi, 16)]
+
+
+_FIG4_MARKOV_X = [x for x, _ in THREE_TAP_MARKOV]
+_ANTI_GRID = [x * DELTA**2 for x in np.linspace(0.3, 1.9, 17)]
+
+_CURVE_CASES = {
+    "fig3-eps0.2": ((1.0, 0.2), 12, "asymptotic", _fig3_grid()),
+    "fig3-eps0.8": ((1.0, 0.8), 12, "asymptotic", _fig3_grid()),
+    "fig4-finite": ((-0.3, 1.0, 0.6), 12, "finite", [x * DELTA**2 for x in _FIG4_MARKOV_X]),
+    "three-tap-n256": (
+        (-0.3, 1.0, 0.6), 256, "finite", [x * DELTA**2 for x in np.linspace(0.5, 0.9, 17)]
+    ),
+    "anti-correlated": ((1.0, -0.5), 12, "asymptotic", _ANTI_GRID),
+    "n1": ((1.0,), 1, "finite", [x * DELTA**2 for x in (0.5, 1.0, 1.5)]),
+    "n2": ((1.0, -0.5), 2, "finite", _ANTI_GRID),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CURVE_CASES))
+def test_curve_matches_reference_bisection(case):
+    taps, n, model, powers = _CURVE_CASES[case]
+    spec = ChannelSpec(taps, DELTA, n)
+    got = achievable_rate_curve(spec, powers, power_model=model)
+    _same_rows(got, [reference_rate(spec, p, model) for p in powers])
+    if case == "anti-correlated":
+        assert any(alpha < 0.5 for _, alpha in got)
+
+
+@pytest.mark.parametrize("model", ["asymptotic", "finite"])
+@pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, -0.5), (-0.3, 1.0, 0.6)])
+def test_curve_matches_reference_at_branch_edges(taps, model):
+    # The budgets P(1/2), P(1) and P(0) decide saturation and which branches
+    # are searched; one ulp either side of each flips those decisions.
+    spec = ChannelSpec(taps, DELTA, 12)
+    power_of = reference_power_of(spec, model)
+    powers = []
+    for alpha in (0.5, 1.0, 0.0):
+        p = power_of(alpha)
+        powers += [float(np.nextafter(p, 0.0)), p, float(np.nextafter(p, math.inf))]
+    got = achievable_rate_curve(spec, powers, power_model=model)
+    _same_rows(got, [reference_rate(spec, p, model) for p in powers])
+
+
+@pytest.mark.parametrize(
+    "levels, block_terms", [(1, 1 << 30), (2, 1 << 30), (3, 1 << 30), (6, 1 << 30), (5, 25)]
+)
+def test_curve_independent_of_round_shape(monkeypatch, levels, block_terms):
+    # Any number of halvings per power evaluation, and tail sums taken a few
+    # rows at a time, give the same bits.
+    monkeypatch.setattr(markov, "_LEVELS_PER_EVAL", levels)
+    monkeypatch.setattr(markov, "_BLOCK_TERMS", block_terms)
+    taps, n, model, powers = _CURVE_CASES["fig4-finite"]
+    spec = ChannelSpec(taps, DELTA, n)
+    got = achievable_rate_curve(spec, powers, power_model=model)
+    _same_rows(got, [reference_rate(spec, p, model) for p in powers])
+
+
+def test_curve_of_no_budgets_is_empty():
+    assert achievable_rate_curve(TWO_TAP, []) == []
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, -0.5), (-0.3, 1.0, 0.6)])
+@pytest.mark.parametrize("alpha", [0.0, 0.3, 0.5, 0.8, 1.0])
+def test_power_wrappers_match_scalar_formulas(taps, alpha):
+    spec = ChannelSpec(taps, DELTA, 12)
+    scheme = MarkovScheme(alpha)
+    coeffs = inverse_spectrum_coeffs(spec).tolist()
+    assert power_asymptotic(spec, scheme) == reference_series_power(spec, coeffs, scheme.rho)
+    ops = build_operators(spec)
+    assert power_finite_n(ops, scheme) == reference_power_finite_n(ops, scheme)
