@@ -15,16 +15,22 @@ diagonal dominance of G is the case where this holds for every s.  Every
 channel takes the same path: an exhaustive profile forms diag(s) G s for each
 pattern with the dense G, keeps the closed form where mu >= 0 (its energy
 taken by Parseval, a sum of nonnegative terms) and sends the other patterns
-to the solver.  The solver is a primal active-set method
-(Lawson-Hanson) started at the closed form: it frees the bound with the most
-negative multiplier, minimizes over the free z_i with the others held at
-delta, steps back to feasibility when a free z_i would fall below delta, and
-stops after finitely many pivots once mu >= 0.  The minimization needs no
-channel action: with w = s*(z - delta), zero off the free set F, it solves
+to the solver.
+
+The solver is a primal active-set method (Lawson-Hanson) started at the
+closed form.  Its first pivot frees every bound whose closed-form multiplier
+is negative at once, which is often already the optimal free set;
+each later pivot frees the bound with the most negative multiplier.  Between
+pivots it minimizes over the free z_i with the others held at delta, steps
+back to feasibility when a free z_i would fall below delta, and it stops
+after finitely many pivots once mu >= 0.  The minimization needs no channel
+action: with w = s*(z - delta), zero off the free set F, it solves
 G_FF w_F = -delta*(Gs)_F, a k x k system gathered from the generator of G
-with G*s formed once per pattern, and sets z_F = delta + s_F*w_F.  Only the
-multipliers take an FFT, one per pivot.  Each result carries x*, the
-dual mu and their duality gap, which certifies it.
+with G*s formed once per pattern, and sets z_F = delta + s_F*w_F.  Patterns
+with the same k share one batched solve of unpadded systems, so a pattern's
+free-set step does not depend on the patterns solved with it.  Only the
+multipliers take an FFT, one per pivot.  Each result carries x*, the dual mu
+and their duality gap; with z >= delta they certify it.
 
 The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
 0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
@@ -117,10 +123,14 @@ class EnergyProfile:
         return np.unique([(r, r ^ mask) for r in _rotations(tied, self.n)])
 
 
-def pattern_from_code(code: int, n: int) -> np.ndarray:
-    """Decode an integer into a +-1 pattern (bit N-1 is entry 0)."""
-    bits = (code >> np.arange(n - 1, -1, -1)) & 1
-    return bits * 2.0 - 1.0
+def pattern_from_code(code, n: int) -> np.ndarray:
+    """Decode an integer code, or an array of them, into +-1 patterns (bit N-1
+    is entry 0, N <= 64): shape (n,) for one code, codes.shape + (n,) for an
+    array.  Each code's big-endian 64-bit word is unpacked to bits."""
+    if not 0 <= n <= 64:
+        raise ValueError(f"codes hold at most 64 bits, got N={n}")
+    words = np.asarray(code, dtype=">u8")[..., None].view(np.uint8)
+    return np.unpackbits(words, axis=-1)[..., 64 - n :] * 2.0 - 1.0
 
 
 def code_from_pattern(signs) -> int:
@@ -167,25 +177,55 @@ def _free_set_optimum(ops, s, gs, free):
 
     With w = s*(z - delta), zero off F, the free rows of Az = 0 read
     G_FF w_F = -delta*(Gs)_F, so z_F = delta + s_F*w_F needs G*s (gs) only,
-    no channel action.  The free indices go to the front of a k x k system,
-    padded with identity rows whose w is 0.
+    no channel action.  Rows are solved in groups of equal |F| = k, each row
+    an unpadded k x k system over its free indices in increasing order, so a
+    row's bits do not depend on which rows share its call.
     """
-    k = int(free.sum(axis=1).max())
-    ri = np.arange(s.shape[0])[:, None]
-    order = np.argsort(~free, axis=1, kind="stable")[:, :k]
-    valid = free[ri, order]
-    sub = ops.gram_generator[(order[:, :, None] - order[:, None, :]) % ops.n]
-    sub = np.where(valid[:, :, None] & valid[:, None, :], sub, np.eye(k))
-    rhs = np.where(valid, -ops.delta * gs[ri, order], 0.0)
+    rows, cols = np.nonzero(free)
+    counts = np.bincount(rows, minlength=s.shape[0])
+    # Group the entries by |F|; within a group rows and columns keep order.
+    order = np.argsort(counts[rows], kind="stable")
+    rows, cols = rows[order], cols[order]
+    # The right-hand sides, replaced group by group by the solutions w_F.
+    w_free = -ops.delta * gs[rows, cols]
+    entries = np.bincount(counts) * np.arange(counts.max(initial=0) + 1)
+    end = 0
+    for k in np.flatnonzero(entries):
+        part = slice(end, end + entries[k])
+        c = cols[part].reshape(-1, k)
+        sub = ops.gram_generator[(c[:, :, None] - c[:, None, :]) % ops.n]
+        w_free[part] = np.linalg.solve(sub, w_free[part].reshape(-1, k, 1)).ravel()
+        end += entries[k]
     w = np.zeros(s.shape)
-    w[ri, order] = np.linalg.solve(sub, rhs[..., None])[..., 0]
+    w[rows, cols] = w_free
     return ops.delta + s * w
 
 
 def _active_set(ops, s, budget):
     """Lawson-Hanson on min z'Az s.t. z >= delta, A = diag(s) G diag(s), for each
-    row of s from z = delta.  Returns z and mu = 2Az (0 on the free set) once
-    mu >= -tol or after budget pivots."""
+    row of s from the closed form z = delta.  Returns z and mu = 2Az (0 on the
+    free set) once mu >= -tol or after budget pivots.
+
+    Pivot 0 frees every index whose closed-form multiplier is below -tol;
+    each later pivot frees the one with the most negative multiplier.  After
+    a pivot z moves toward the optimum zp of its free set and stops where a
+    falling free entry reaches delta.  That entry is bound again, and so is
+    every free entry left at delta that the step does not raise (zp <= z);
+    then zp is recomputed on the smaller set.  From z = delta the first step
+    has length 0, so pivot 0 binds every falling index in one solve, and the
+    rule keeps a zero-length step from binding the index a pivot just freed.
+    Each step binds at least one index, so a pivot ends after at most N
+    solves, at the optimum of its free set with every free entry above delta.
+
+    Termination (Lawson and Hanson, Solving Least Squares Problems, ch. 23):
+    after pivot 0, z is the feasible optimum of its free set with every free
+    entry above delta.  A later pivot frees an index with a negative
+    multiplier, so the optimum over the enlarged set raises that entry and
+    the first step has positive length.  Every step moves toward the
+    minimizer over the current set, so z'Az falls strictly from one pivot to
+    the next.  Pivots therefore never return to a free set, of which there
+    are finitely many; the budget bounds what rounding could prolong.
+    """
     delta, tol = ops.delta, _dual_tol(ops)
     gs = _gram_apply(ops, s)
     z = np.full(s.shape, delta)
@@ -200,32 +240,39 @@ def _active_set(ops, s, budget):
         live, j = live[keep], j[keep]
         if pivot == budget or live.size == 0:
             break
-        free[live, j] = True
+        if pivot == 0:
+            free[live] = mu[live] < -tol
+        else:
+            free[live, j] = True
         step = live
         while True:
             zp = _free_set_optimum(ops, s[step], gs[step], free[step])
-            done = np.all((zp > delta) | ~free[step], axis=1)
+            low = free[step] & (zp <= delta)
+            done = ~low.any(axis=1)
             z[step[done]] = zp[done]
             if done.all():
                 break
-            step, zp = step[~done], zp[~done]
+            step, zp, low = step[~done], zp[~done], low[~done]
             # Step toward zp until a free z_i reaches delta (the ratios on low
-            # entries lie in [0, 1]) and bind every free entry that got there.
+            # entries lie in [0, 1]), bind that entry, and keep free only the
+            # entries above delta or still rising.
             zs, fs, rows = z[step], free[step], np.arange(step.size)
-            low = fs & (zp <= delta)
             span = np.where(low, np.maximum(zs - zp, _TINY), 1.0)
             ratio = (zs - delta) / span
             first = np.argmin(np.where(low, ratio, np.inf), axis=1)
             zs += ratio[rows, first][:, None] * (zp - zs)
             fs[rows, first] = False
-            fs &= zs > delta
+            fs &= (zs > delta) | (zp > zs)
             z[step], free[step] = np.where(fs, zs, delta), fs
     return z, mu
 
 
 def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
-    """x*, E, dual and duality gap for each pattern row of s; raises
-    NoConvergence when a gap misses its tolerance."""
+    """x*, E, dual and duality gap for each pattern row of s.  The certificate
+    is checked per row: the active set's z, with x* = M_h^{-1} diag(s) z, must
+    be at least delta (primal feasibility; the dual is nonnegative by
+    construction) and the gap within its tolerance, else NoConvergence is
+    raised."""
     budget = 3 * ops.n if max_iter is None else max_iter
     z, mu = _active_set(ops, s, budget)
     x = apply_inverse(ops, s * z)
@@ -235,6 +282,13 @@ def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
     mt_dual = np.fft.irfft(np.fft.rfft(s * dual, axis=-1) * half, n=ops.n, axis=-1)
     e = np.einsum("ij,ij->i", x, x)
     gap = e - (ops.delta * dual.sum(axis=1) - 0.25 * np.einsum("ij,ij->i", mt_dual, mt_dual))
+    z_min = z.min(axis=1)
+    if not np.all(z_min >= ops.delta):
+        worst = int(np.argmin(z_min))
+        raise NoConvergence(
+            f"primal iterate z = {z_min[worst]!r} below delta = {ops.delta!r}",
+            gap=float(gap[worst]),
+        )
     excess = gap - (1e-8 * np.maximum(1.0, e) if gap_tol is None else gap_tol)
     if not np.all(excess <= 0):
         worst = int(np.argmax(excess))
@@ -246,9 +300,11 @@ def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
 
 
 def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None, max_iter=None) -> EnergySolution:
-    """E(s) by the active-set method from the closed form, certified by the
-    duality gap (at rounding level it can be negative).  max_iter is the pivot
-    budget (default 3N); gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
+    """E(s) by the active-set method from the closed form, certified by primal
+    feasibility and the duality gap (at rounding level the gap can be
+    negative).  max_iter is the pivot budget (default 3N; the first pivot frees
+    every negative closed-form multiplier at once); gap_tol bounds the gap, by
+    default 1e-8 * max(1, E)."""
     s = _as_pattern(ops.n, s)
     x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol, max_iter=max_iter)
     return EnergySolution(float(e[0]), x[0], dual[0], float(gap[0]))
@@ -345,7 +401,7 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     gram = ops.gram_inverse()
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
-        pats = pattern_from_code(codes[start : start + _CHUNK, None], n)
+        pats = pattern_from_code(codes[start : start + _CHUNK], n)
         # s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
         # terms, so it keeps its digits however ill-conditioned G is; the dense
         # sum over s_i s_j g_{i-j} cancels terms of size g_0.
@@ -354,7 +410,8 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
         # with a negative entry pivot.
         sgs = (pats @ gram) * pats
         bad = np.flatnonzero(2.0 * ops.delta * sgs.min(axis=1) < -_dual_tol(ops))
-        vals[bad] = _solve(ops, pats[bad])[1]
+        if bad.size:
+            vals[bad] = _solve(ops, pats[bad])[1]
         energies[start : start + _CHUNK] = vals
 
     e_min = float(energies.min())

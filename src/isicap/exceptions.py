@@ -19,9 +19,10 @@ class NotDiagonallyDominant(IsicapError):
 
 
 class NoConvergence(IsicapError):
-    """An iterative solve spent its budget before meeting its tolerance: the
-    active-set QP solver's pivots (carries the duality gap it reached), or the
-    Gibbs multiplier search's weighted passes (gap is None)."""
+    """An iterative solve did not meet its certificate: the active-set QP
+    solver left a pattern with z = diag(s) M x below delta or a duality gap
+    above tolerance after its pivot budget (carries that pattern's gap), or the
+    Gibbs multiplier search spent its weighted passes (gap is None)."""
 
     def __init__(self, message, gap=None):
         super().__init__(message)

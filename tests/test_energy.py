@@ -1,5 +1,6 @@
 """Energy QP: analytic path, active-set solver, exhaustive profiles."""
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -30,6 +31,9 @@ from tests.test_channel import circulant_matrix
 
 DELTA = 0.3
 
+# The package exports a function named energy, which hides the submodule.
+energy_module = importlib.import_module("isicap.energy")
+
 
 def test_pattern_code_roundtrip():
     for n in (1, 3, 8):
@@ -43,6 +47,19 @@ def test_pattern_code_convention():
     # Big-endian: bit N-1 is entry 0, a 1-bit is +1.
     np.testing.assert_array_equal(pattern_from_code(0b100, 3), [1.0, -1.0, -1.0])
     np.testing.assert_array_equal(pattern_from_code(0, 3), [-1.0, -1.0, -1.0])
+
+
+def test_pattern_code_arrays():
+    # An array of codes decodes row by row, as each code does alone.
+    for n in (1, 7, 20):
+        codes = np.random.default_rng(n).integers(0, 1 << n, size=50)
+        np.testing.assert_array_equal(
+            pattern_from_code(codes, n), [pattern_from_code(int(c), n) for c in codes]
+        )
+    np.testing.assert_array_equal(pattern_from_code((1 << 64) - 1, 64), np.ones(64))
+    assert pattern_from_code(np.zeros((2, 3), dtype=np.int64), 4).shape == (2, 3, 4)
+    with pytest.raises(ValueError):
+        pattern_from_code(1, 65)
 
 
 def test_analytic_requires_dd(three_tap_ops):
@@ -179,6 +196,217 @@ def test_markov_patterns_certified_at_large_block():
         sol = energy(ops, s)
         _assert_certified(ops, m, g, s, sol)
         assert sol.energy == pytest.approx(_nnls_energy(g, s, DELTA), rel=1e-9)
+
+
+def reference_free_set_optimum(ops, s, gs, free):
+    """The free-set step with padding: each row's free indices are moved to the
+    front by an argsort over N, and the k x k systems are padded with identity
+    rows to the widest row in the batch."""
+    k = int(free.sum(axis=1).max())
+    ri = np.arange(s.shape[0])[:, None]
+    order = np.argsort(~free, axis=1, kind="stable")[:, :k]
+    valid = free[ri, order]
+    sub = ops.gram_generator[(order[:, :, None] - order[:, None, :]) % ops.n]
+    sub = np.where(valid[:, :, None] & valid[:, None, :], sub, np.eye(k))
+    rhs = np.where(valid, -ops.delta * gs[ri, order], 0.0)
+    w = np.zeros(s.shape)
+    w[ri, order] = np.linalg.solve(sub, rhs[..., None])[..., 0]
+    return ops.delta + s * w
+
+
+def reference_active_set(ops, s, budget):
+    """Plain Lawson-Hanson from the closed form: every pivot frees the one index
+    with the most negative multiplier, and a step back binds every free entry
+    that reached delta."""
+    delta, tol = ops.delta, energy_module._dual_tol(ops)
+    gs = energy_module._gram_apply(ops, s)
+    z = np.full(s.shape, delta)
+    free = np.zeros(s.shape, dtype=bool)
+    mu = np.empty(s.shape)
+    live = np.arange(s.shape[0])
+    for pivot in range(budget + 1):
+        s_live = s[live]
+        mu[live] = np.where(
+            free[live], 0.0, 2.0 * s_live * energy_module._gram_apply(ops, s_live * z[live])
+        )
+        j = np.argmin(mu[live], axis=1)
+        keep = mu[live, j] < -tol
+        live, j = live[keep], j[keep]
+        if pivot == budget or live.size == 0:
+            break
+        free[live, j] = True
+        step = live
+        while True:
+            zp = reference_free_set_optimum(ops, s[step], gs[step], free[step])
+            done = np.all((zp > delta) | ~free[step], axis=1)
+            z[step[done]] = zp[done]
+            if done.all():
+                break
+            step, zp = step[~done], zp[~done]
+            zs, fs, rows = z[step], free[step], np.arange(step.size)
+            low = fs & (zp <= delta)
+            span = np.where(low, np.maximum(zs - zp, energy_module._TINY), 1.0)
+            ratio = (zs - delta) / span
+            first = np.argmin(np.where(low, ratio, np.inf), axis=1)
+            zs += ratio[rows, first][:, None] * (zp - zs)
+            fs[rows, first] = False
+            fs &= zs > delta
+            z[step], free[step] = np.where(fs, zs, delta), fs
+    return z, mu
+
+
+def _reference_solve(monkeypatch, ops, s):
+    """_solve's x*, E, dual and gap with the plain Lawson-Hanson active set."""
+    with monkeypatch.context() as patch:
+        patch.setattr(energy_module, "_active_set", reference_active_set)
+        return energy_module._solve(ops, s)
+
+
+def _assert_same_solutions(got, want):
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+
+
+def _qp_orbit_patterns(ops):
+    """The orbit patterns whose closed-form multiplier has a negative entry."""
+    codes, _ = energy_module._orbits(ops.n)
+    pats = pattern_from_code(codes, ops.n)
+    sgs = (pats @ ops.gram_inverse()) * pats
+    return pats[2.0 * ops.delta * sgs.min(axis=1) < -energy_module._dual_tol(ops)]
+
+
+def test_large_block_patterns_match_reference_exactly(monkeypatch):
+    n = 256
+    ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, n))
+    for s in _markov_patterns(np.random.default_rng(12), 64, n):
+        _assert_same_solutions(
+            energy_module._solve(ops, s[None, :]), _reference_solve(monkeypatch, ops, s[None, :])
+        )
+
+
+@pytest.mark.parametrize(
+    "taps, n",
+    [((1.0, 0.8), 12), ((1.0, 0.8), 16), ((-0.3, 1.0, 0.6), 12), ((-0.3, 1.0, 0.6), 14),
+     ((-0.3, 1.0, 0.6), 16)],
+)
+def test_qp_orbits_match_reference_exactly(monkeypatch, taps, n):
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    pats = _qp_orbit_patterns(ops)
+    assert pats.shape[0] > 0
+    _assert_same_solutions(energy_module._solve(ops, pats), _reference_solve(monkeypatch, ops, pats))
+    with monkeypatch.context() as patch:
+        patch.setattr(energy_module, "_active_set", reference_active_set)
+        reference = enumerate_profile(ops)
+    np.testing.assert_array_equal(enumerate_profile(ops).orbit_energies, reference.orbit_energies)
+
+
+def test_random_channels_match_reference_exactly(monkeypatch):
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 300:
+        n = int(rng.choice([16, 32, 64, 128]))
+        taps = tuple(rng.uniform(-1.0, 1.0, int(rng.integers(2, 6))))
+        gains = np.abs(np.fft.fft(np.pad(taps, (0, n - len(taps)))))
+        if gains.min() < max(0.05, 0.05 * gains.max()):
+            continue
+        ops = build_operators(ChannelSpec(taps, DELTA, n))
+        pats = np.concatenate([
+            _markov_patterns(rng, 10, n), np.where(rng.random((10, n)) < 0.5, 1.0, -1.0)
+        ])
+        for s in pats:
+            _assert_same_solutions(
+                energy_module._solve(ops, s[None, :]), _reference_solve(monkeypatch, ops, s[None, :])
+            )
+        checked += pats.shape[0]
+
+
+@pytest.mark.parametrize("taps, n", [((1.0, 0.8), 12), ((-0.3, 1.0, 0.6), 16)])
+def test_profile_energy_equals_single_pattern_solve(taps, n):
+    # A free-set step never pads a row to its batch, so an orbit's energy
+    # inside the profile is bit for bit its energy solved alone.
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    prof = enumerate_profile(ops)
+    pats = _qp_orbit_patterns(ops)
+    for s in pats:
+        assert energy(ops, s).energy == prof.energy_of(s)
+
+
+def test_negative_set_start_takes_one_solve(monkeypatch):
+    # Where the closed form's negative-multiplier set is the optimal free set,
+    # pivot 0 frees it whole and one free-set solve finishes the pattern.
+    n = 256
+    ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, n))
+    tol = energy_module._dual_tol(ops)
+    calls = []
+    inner = energy_module._free_set_optimum
+
+    def spy(ops, s, gs, free):
+        calls.append(free.copy())
+        return inner(ops, s, gs, free)
+
+    monkeypatch.setattr(energy_module, "_free_set_optimum", spy)
+    one_solve = 0
+    for s in _markov_patterns(np.random.default_rng(37), 32, n):
+        gs = energy_module._gram_apply(ops, s[None, :])[0]
+        negative = 2.0 * DELTA * s * gs < -tol
+        z, _ = reference_active_set(ops, s[None, :], 3 * n)
+        if not negative.any() or not np.array_equal(z[0] > DELTA, negative):
+            continue
+        calls.clear()
+        energy(ops, s)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], negative)
+        one_solve += 1
+    assert one_solve >= 25
+
+
+def test_first_step_back_binds_every_falling_index(monkeypatch):
+    # From z = delta the step back has length 0: the next solve keeps exactly
+    # the entries the first solve raised.
+    ops = build_operators(ChannelSpec((1.0, 0.8), DELTA, 12))
+    pats = _qp_orbit_patterns(ops)
+    calls = []
+    inner = energy_module._free_set_optimum
+
+    def spy(ops, s, gs, free):
+        zp = inner(ops, s, gs, free)
+        calls.append((free.copy(), zp))
+        return zp
+
+    monkeypatch.setattr(energy_module, "_free_set_optimum", spy)
+    stepped = 0
+    for s in pats:
+        calls.clear()
+        energy_module._solve(ops, s[None, :])
+        (free, zp), rest = calls[0], calls[1:]
+        falling = free & (zp <= DELTA)
+        if falling.any():
+            np.testing.assert_array_equal(rest[0][0], free & ~falling)
+            stepped += 1
+    assert stepped > 0
+
+
+def test_primal_infeasibility_surfaces(monkeypatch, three_tap_ops):
+    inner = energy_module._active_set
+
+    def lowered(ops, s, budget):
+        z, mu = inner(ops, s, budget)
+        z[0, 5] = ops.delta * (1.0 - 1e-6)
+        return z, mu
+
+    monkeypatch.setattr(energy_module, "_active_set", lowered)
+    with pytest.raises(NoConvergence, match="below delta") as err:
+        solve_energy_qp(three_tap_ops, pattern_from_code(0b000101010101, 12))
+    assert err.value.gap is not None
+
+
+def test_screened_chunks_skip_the_solver(monkeypatch, two_tap_ops):
+    # Every pattern of a diagonally dominant channel passes the screen.
+    def fail(*args, **kwargs):
+        raise AssertionError("the QP ran on a chunk that passed the screen")
+
+    monkeypatch.setattr(energy_module, "_solve", fail)
+    assert enumerate_profile(two_tap_ops).orbit_energies.size == 180
 
 
 # Channels with 0.1 <= |f| <= 10 |f|_min, so G is finite and well conditioned.
