@@ -188,6 +188,7 @@ def _free_set_optimum(ops, s, gs, free):
     rows, cols = rows[order], cols[order]
     # The right-hand sides, replaced group by group by the solutions w_F.
     w_free = -ops.delta * gs[rows, cols]
+    # entries[k]: the free entries of the rows with |F| = k.
     entries = np.bincount(counts) * np.arange(counts.max(initial=0) + 1)
     end = 0
     for k in np.flatnonzero(entries):
