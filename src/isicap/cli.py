@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage/config error, 2 validation failure,
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -248,17 +249,18 @@ def _add_channel_flags(p, with_grid: bool):
         )
 
 
-def _build_parser() -> _Parser:
+@functools.cache
+def _parser() -> _Parser:
+    """The argument parser, built on the first call and reused: argparse asks
+    for the terminal size on every add_argument."""
     parser = _Parser(prog="isicap", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("capacity", help="Gibbs capacity over a power grid")
     _add_channel_flags(p, with_grid=True)
-    p.set_defaults(run=cmd_capacity)
 
     p = sub.add_parser("markov", help="zero-forcing Markov rates over a power grid")
     _add_channel_flags(p, with_grid=True)
-    p.set_defaults(run=cmd_markov)
     p.add_argument(
         "--power-model",
         choices=("asymptotic", "finite"),
@@ -268,14 +270,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("energy", help="exhaustive minimum-energy profile")
     _add_channel_flags(p, with_grid=False)
-    p.set_defaults(run=cmd_energy)
     p.add_argument(
         "--dump-energies", action="store_true", help="also emit all 2^N pattern energies"
     )
 
     p = sub.add_parser("validate", help="Monte-Carlo check of the flip-rate bound")
     _add_channel_flags(p, with_grid=False)
-    p.set_defaults(run=cmd_validate)
     p.add_argument("--sigma", type=float, required=True, help="noise standard deviation")
     p.add_argument(
         "--alpha", type=float, default=0.5, help="sign-source self-transition (default 0.5)"
@@ -286,16 +286,17 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("figures", help="reference CSV data for the standard channels")
     p.add_argument("which", choices=("fig3", "fig4"))
-    p.set_defaults(run=cmd_figures)
     p.add_argument("--n", type=int, default=12, help="block length (default 12)")
     p.add_argument("--out", default="", help="output path (default stdout)")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    # Looked up by name on each call, so a rebound cmd_* function is the one run.
+    run = globals()[f"cmd_{args.command}"]
     try:
-        lines, code = args.run(args)
+        lines, code = run(args)
     except (NoConvergence, QuadratureFailure) as exc:
         print(f"isicap: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

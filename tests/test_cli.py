@@ -315,3 +315,37 @@ def test_figures_rejects_unknown(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["figures", "fig9"])
     assert exc.value.code == 1
+
+
+def test_repeated_main_calls_print_identical_bytes(capsys):
+    argvs = [
+        ("figures", "fig3"),
+        ("capacity", "--taps=-0.3,1,0.6", "--grid", "0.5:0.9:9"),
+        ("markov", "--taps", "1,0.2", "--grid", "0.8,0.9"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    with pytest.raises(SystemExit):
+        cli.main(["figures", "fig9"])
+    capsys.readouterr()
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+
+
+def test_parser_is_reused_and_help_unchanged(capsys):
+    assert cli._parser() is cli._parser()
+    fresh = cli._parser.__wrapped__()
+    for argv in (["--help"], ["capacity", "--help"], ["validate", "--help"], [], ["figures"]):
+        seen = []
+        for parse in (cli.main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            seen.append((exc.value.code, capsys.readouterr()))
+        assert seen[0] == seen[1]
+        out, err = seen[0][1]
+        assert (out or err).startswith("usage: isicap")
+
+
+def test_rebound_command_is_dispatched(capsys, monkeypatch):
+    # A wrapper bound over cmd_* after the parser exists (as a tracer does) runs.
+    run_cli(capsys, "figures", "fig4")
+    monkeypatch.setattr(cli, "cmd_figures", lambda args: (["rebound " + args.which], 0))
+    assert run_cli(capsys, "figures", "fig4") == (0, "rebound fig4\n", "")

@@ -1,6 +1,7 @@
 """Gibbs multiplier solving and the four power regimes."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from isicap import (
     log_partition,
     solve_beta,
 )
+from isicap.cli import _FIG4_CAPACITY_X
+from isicap.spectral import pbar_two_tap, pmin_two_tap
 
 N = 12
 
@@ -189,17 +192,36 @@ def test_newton_matches_reference_bisection(taps, n):
         assert sol.entropy_bits_per_use == pytest.approx(entropy, rel=1e-9, abs=1e-12)
 
 
-def test_non_interior_regimes_report_no_iterations(two_tap_profile):
-    for p in (two_tap_profile.e_min / N, two_tap_profile.e_mean / N):
+def test_non_interior_regimes_report_no_iterations(two_tap_ops, two_tap_profile):
+    floor, mean = two_tap_profile.e_min / N, two_tap_profile.e_mean / N
+    for p in (floor, mean):
         sol = solve_beta(two_tap_profile, p, N)
-        assert (sol.iterations, sol.residual) == (0, 0.0)
+        assert (sol.iterations, sol.residual, sol.fallbacks) == (0, 0.0, 0)
+    rows = capacity_curve(two_tap_ops, [0.5 * floor, floor, mean])
+    assert [(sol.iterations, sol.residual, sol.fallbacks) for _, sol in rows] == [(0, 0.0, 0)] * 3
 
 
-def test_exhausted_budget_raises(two_tap_profile, monkeypatch):
+def test_exhausted_budget_raises(two_tap_ops, two_tap_profile, monkeypatch):
     power = 0.5 * (two_tap_profile.e_min + two_tap_profile.e_mean) / N
     monkeypatch.setattr(gibbs, "_NEWTON_MAX_ITER", 0)
     with pytest.raises(NoConvergence):
         solve_beta(two_tap_profile, power, N)
+    with pytest.raises(NoConvergence, match=r"bracket \[0, inf\]"):
+        capacity_curve(two_tap_ops, [power])
+
+
+def test_exhausted_budget_names_first_unconverged_point(
+    two_tap_ops, two_tap_profile, monkeypatch
+):
+    floor, mean = two_tap_profile.e_min / N, two_tap_profile.e_mean / N
+    grid = [floor + f * (mean - floor) for f in (0.2, 0.5, 0.8)]
+    budget = min(sol.iterations for _, sol in capacity_curve(two_tap_ops, grid)) - 1
+    monkeypatch.setattr(gibbs, "_NEWTON_MAX_ITER", budget)
+    with pytest.raises(NoConvergence) as err:
+        capacity_curve(two_tap_ops, grid)
+    with pytest.raises(NoConvergence) as first:
+        reference_solve_beta(two_tap_profile, grid[0], N)
+    assert str(err.value) == str(first.value)
 
 
 # Small well-conditioned channels: 0.1 <= |f| and max|f| <= 10 min|f|.
@@ -221,7 +243,181 @@ def test_capacity_nondecreasing_and_concave_in_power(case):
     floor, mean = prof.e_min / n, prof.e_mean / n
     assume(mean > floor * (1 + 1e-6))
     grid = [floor + k * (mean - floor) / 12 for k in range(15)]
-    caps = [sol.entropy_bits_per_use for _, sol in capacity_curve(ops, grid)]
+    caps = [sol.entropy_bits_per_use for _, sol in _assert_curve_matches_reference(ops, grid)]
     assert all(b >= a - 1e-12 for a, b in zip(caps, caps[1:]))
     # On an evenly spaced grid a concave curve has nonpositive second differences.
     assert all(a + c - 2 * b <= 1e-9 for a, b, c in zip(caps, caps[1:], caps[2:]))
+
+
+def _reference_moments(profile, beta, n):
+    """The single-multiplier weighted pass, kept as the oracle's kernel."""
+    e = profile.orbit_energies
+    a = -beta * e / n
+    m = float(np.max(a))
+    w = profile.multiplicity * np.exp(a - m)
+    total = float(np.sum(w))
+    mean = float(e @ w) / total
+    var = float((e - mean) ** 2 @ w) / total
+    return m + math.log(total), mean, var
+
+
+def reference_solve_beta(profile, power, n):
+    """The per-point Newton loop that `capacity_curve` replaces, one power at a
+    time, with a count of the steps that fell back to bisection or doubling."""
+    gibbs._check_n(profile, n)
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power!r}")
+    np_budget = n * power
+    e_min, e_mean = profile.e_min, profile.e_mean
+
+    if np_budget < e_min * (1 - gibbs.BOUNDARY_TOL):
+        raise InfeasiblePower(
+            f"power {power:.6g} is below the feasibility floor {e_min / n:.6g} per use",
+            floor_per_use=e_min / n,
+        )
+    if np_budget >= e_mean:
+        return gibbs.GibbsSolution(
+            gibbs_beta=0.0,
+            log_partition=n * math.log(2.0),
+            entropy_bits_per_use=1.0,
+            avg_energy_per_use=e_mean / n,
+            regime=Regime.SATURATED,
+        )
+    if abs(np_budget - e_min) <= gibbs.BOUNDARY_TOL * e_min:
+        return gibbs.GibbsSolution(
+            gibbs_beta=math.inf,
+            log_partition=-math.inf,
+            entropy_bits_per_use=math.log2(profile.min_count) / n,
+            avg_energy_per_use=e_min / n,
+            regime=Regime.MIN_ENERGY_BOUNDARY,
+        )
+
+    lo, hi, beta, fallbacks = 0.0, math.inf, 0.0, 0
+    for iterations in range(1, gibbs._NEWTON_MAX_ITER + 1):
+        ln_z, mean, var = _reference_moments(profile, beta, n)
+        residual = abs(mean - np_budget) / np_budget
+        if residual <= gibbs.BETA_MATCH_TOL:
+            break
+        if mean > np_budget:
+            lo = beta
+        else:
+            hi = beta
+        beta = beta + (mean - np_budget) * n / var if var > 0.0 else math.inf
+        if not lo < beta < hi:
+            fallbacks += 1
+            beta = 0.5 * (lo + hi) if hi < math.inf else max(2.0 * lo, 1.0)
+    else:
+        raise NoConvergence(
+            f"Gibbs solve at power {power:.6g}: <E> still misses N*P after "
+            f"{gibbs._NEWTON_MAX_ITER} passes (bracket [{lo:.6g}, {hi:.6g}])"
+        )
+
+    entropy_nats = beta * power + ln_z
+    return gibbs.GibbsSolution(
+        gibbs_beta=beta,
+        log_partition=ln_z,
+        entropy_bits_per_use=entropy_nats / (n * math.log(2.0)),
+        avg_energy_per_use=mean / n,
+        regime=Regime.GIBBS_INTERIOR,
+        iterations=iterations,
+        residual=residual,
+        fallbacks=fallbacks,
+    )
+
+
+def _fields(sol):
+    # NaN marks an infeasible row's energy; compare it as a token.
+    return tuple("nan" if isinstance(v, float) and math.isnan(v) else v for v in astuple(sol))
+
+
+def _assert_curve_matches_reference(ops, grid):
+    """Every capacity_curve row equals the per-point loop in every field."""
+    profile = enumerate_profile(ops)
+    rows = capacity_curve(ops, grid)
+    assert [p for p, _ in rows] == list(grid)
+    for p, sol in rows:
+        try:
+            ref = reference_solve_beta(profile, p, ops.n)
+        except InfeasiblePower:
+            ref = gibbs.GibbsSolution(math.inf, -math.inf, 0.0, math.nan, Regime.INFEASIBLE)
+        assert _fields(sol) == _fields(ref), p
+    return rows
+
+
+def _shifted(lo, hi, count, shift):
+    step = (hi - lo) / (count - 1)
+    return [lo + shift * step + i * step for i in range(count)]
+
+
+_D2 = 0.3**2
+_FIG3_X = np.linspace(pmin_two_tap(0.2, 0.3) / _D2, pbar_two_tap(0.2, 0.3) / _D2, 16)
+_FIG3_GRID = [float(x) * _D2 for x in _FIG3_X]
+
+# The curves of figures fig3/fig4 and of the benchmark's qp-profile and
+# gibbs-n20 requests (their grids shifted by a fraction of a step).
+_BENCH_CURVES = [
+    ((1.0, 0.2), 12, _FIG3_GRID),
+    ((1.0, 0.8), 12, _FIG3_GRID),
+    ((-0.3, 1.0, 0.6), 12, [x * _D2 for x in _FIG4_CAPACITY_X]),
+    ((-0.3, 1.0, 0.6), 14, [x * _D2 for x in _shifted(0.54, 0.87, 16, 0.31)]),
+    ((-0.3, 1.0, 0.6), 16, [x * _D2 for x in _shifted(0.54, 0.87, 16, -0.42)]),
+    ((1.0, 0.8), 12, [x * _D2 for x in _shifted(0.30, 1.80, 16, 0.17)]),
+    ((1.0, 0.2), 20, [x * _D2 for x in _shifted(0.72, 1.00, 8, -0.23)]),
+]
+
+
+@pytest.mark.parametrize("taps, n, grid", _BENCH_CURVES)
+def test_curve_matches_reference_on_benchmark_grids(taps, n, grid):
+    rows = _assert_curve_matches_reference(build_operators(ChannelSpec(taps, 0.3, n)), grid)
+    assert any(sol.regime is Regime.GIBBS_INTERIOR for _, sol in rows)
+
+
+def _wide_grid(profile, n):
+    """60 ascending powers from below the floor to above the mean, holding
+    e_min/N, e_mean/N and one repeated point."""
+    floor, mean = profile.e_min / n, profile.e_mean / n
+    inner = [floor + f * (mean - floor) for f in np.linspace(1e-7, 1 - 1e-7, 50).tolist()]
+    grid = [0.5 * floor, 0.99 * floor, floor, *inner, mean, 1.01 * mean, 2.0 * mean]
+    grid += [inner[20]] + [mean * (1 + k / 10) for k in range(1, 4)]
+    return sorted(grid)
+
+
+def test_curve_matches_reference_on_wide_grid(two_tap_ops, two_tap_profile):
+    grid = _wide_grid(two_tap_profile, N)
+    assert len(grid) == 60 and len(set(grid)) == 59
+    rows = _assert_curve_matches_reference(two_tap_ops, grid)
+    regimes = [sol.regime for _, sol in rows]
+    assert {Regime.INFEASIBLE, Regime.MIN_ENERGY_BOUNDARY, Regime.SATURATED} <= set(regimes)
+    assert regimes.count(Regime.GIBBS_INTERIOR) == 51
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+@pytest.mark.parametrize("cap", ["rows", "elements"])
+def test_curve_matches_reference_in_small_blocks(
+    two_tap_ops, two_tap_profile, monkeypatch, rows, cap
+):
+    # A cap below one row's size still takes one row per block.
+    orbits = two_tap_profile.orbit_energies.size
+    monkeypatch.setattr(gibbs, "_BLOCK_ELEMENTS", rows * orbits + 1 if cap == "rows" else 5)
+    _assert_curve_matches_reference(two_tap_ops, _wide_grid(two_tap_profile, N))
+
+
+def test_bracket_fallbacks_counted():
+    # On (1, 0.5, 0.9) at N = 5 the first Newton step leaves the bracket at
+    # 10% and 30% of the way from the floor to the mean.
+    ops = build_operators(ChannelSpec((1.0, 0.5, 0.9), 0.3, 5))
+    prof = enumerate_profile(ops)
+    fracs = (1e-6, 1e-3, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+    grid = [(prof.e_min + f * (prof.e_mean - prof.e_min)) / 5 for f in fracs]
+    rows = _assert_curve_matches_reference(ops, grid)
+    assert all(sol.regime is Regime.GIBBS_INTERIOR for _, sol in rows)
+    assert [sol.fallbacks >= 1 for _, sol in rows] == [f in (0.1, 0.3) for f in fracs]
+    assert solve_beta(prof, grid[2], 5).fallbacks >= 1
+
+
+@pytest.mark.parametrize("beta", [-1.0, 0.0, 0.5, 5.0])
+def test_moments_wrappers_match_reference_pass(two_tap_profile, three_tap_profile, beta):
+    for prof in (two_tap_profile, three_tap_profile):
+        ln_z, mean, _ = _reference_moments(prof, beta, N)
+        assert log_partition(prof, beta, N) == ln_z
+        assert avg_energy(prof, beta, N) == mean
