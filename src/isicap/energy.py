@@ -63,7 +63,16 @@ DUAL_TOL = 1e-12
 # Patterns within this relative distance of e_min count as minimizers.
 MIN_TIE_TOL = 1e-9
 
-_CHUNK = 1 << 14
+# Orbits per chunk of an exhaustive profile.  Keep it a power of two: the
+# Parseval energies go through OpenBLAS's dgemv, which takes rows four at a
+# time and the one to three rows left at the end of a call through another
+# kernel that can round them differently (on (1, 0.2) at N = 20 the last row
+# of a call of 4k + 1 rows moved by 1-2 ulps for 179 of 999 k).  Chunks of a
+# multiple of 4 rows give every energy the bits of one call over all orbits;
+# chunks of 3001 or 3449 did not.  2^12 rows give one chunk for every
+# N <= 17, and at N = 20 a chunk's float and complex temporaries (0.6 and
+# 1.3 MB) fit a core's L2.
+_CHUNK = 1 << 12
 
 # Smallest normal float: the floor on a step's span, which keeps it positive.
 _TINY = np.finfo(float).tiny
@@ -134,9 +143,12 @@ def pattern_from_code(code, n: int) -> np.ndarray:
 
 
 def code_from_pattern(signs) -> int:
-    signs = np.asarray(signs)
-    bits = (signs > 0).astype(int)
-    return int(bits @ (1 << np.arange(len(bits) - 1, -1, -1)))
+    """The nonnegative code of a pattern (entry 0 is bit N-1, N <= 64): its
+    bits packed big-endian into bytes, less the zero bits padding the last."""
+    bits = np.asarray(signs) > 0
+    if bits.size > 64:
+        raise ValueError(f"codes hold at most 64 bits, got N={bits.size}")
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
 
 
 def _as_pattern(n: int, s) -> np.ndarray:
@@ -392,6 +404,41 @@ def _orbits(n: int):
     return codes, np.where(codes == complement, periods, 2 * periods)
 
 
+def _parseval_energies(ops: ChannelOperators, pats: np.ndarray) -> np.ndarray:
+    """The closed-form energy delta^2 s'Gs of each pattern row.
+
+    s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
+    terms, so it keeps its digits however ill-conditioned G is; the dense sum
+    over s_i s_j g_{i-j} cancels terms of size g_0.  The FFT is handed complex
+    input, transformed in place: on float input it casts through a slow
+    buffered loop, to the same bits.  The temporaries are freed on return,
+    before any QP solve of the chunk.
+    """
+    spec = pats.astype(complex)
+    np.fft.fft(spec, axis=-1, out=spec)
+    power = np.abs(spec)
+    power **= 2
+    vals = power @ ops.spec_weight
+    vals /= ops.n
+    vals *= ops.delta**2
+    return vals
+
+
+def _screen_failures(ops: ChannelOperators, pats: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """Indices of the pattern rows whose closed form is not optimal.
+
+    2*delta times row i of diag(s) G s is the closed form's dual, and a row
+    with an entry below -tol pivots.  The row minimum is taken one column at
+    a time, which is exact and faster than a reduction along short rows.
+    """
+    sgs = pats @ gram
+    sgs *= pats
+    low = sgs[:, 0].copy()
+    for j in range(1, ops.n):
+        np.minimum(low, sgs[:, j], out=low)
+    return np.flatnonzero(2.0 * ops.delta * low < -_dual_tol(ops))
+
+
 def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     """E(s) for every pattern of length N (N <= ENUMERATION_CAP), one solve per
     orbit under rotation and negation."""
@@ -403,14 +450,8 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
         pats = pattern_from_code(codes[start : start + _CHUNK], n)
-        # s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
-        # terms, so it keeps its digits however ill-conditioned G is; the dense
-        # sum over s_i s_j g_{i-j} cancels terms of size g_0.
-        vals = ops.delta**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ ops.spec_weight) / n)
-        # 2*delta times row i of diag(s) G s is the closed form's dual: rows
-        # with a negative entry pivot.
-        sgs = (pats @ gram) * pats
-        bad = np.flatnonzero(2.0 * ops.delta * sgs.min(axis=1) < -_dual_tol(ops))
+        vals = _parseval_energies(ops, pats)
+        bad = _screen_failures(ops, pats, gram)
         if bad.size:
             vals[bad] = _solve(ops, pats[bad])[1]
         energies[start : start + _CHUNK] = vals

@@ -113,16 +113,32 @@ def _moments(profile: EnergyProfile, betas: np.ndarray, n: int):
     return ln_z, mean, var
 
 
+def _check_beta(beta) -> float:
+    beta = float(beta)
+    if math.isnan(beta):
+        raise ValueError("beta is NaN")
+    return beta
+
+
 def log_partition(profile: EnergyProfile, beta: float, n: int) -> float:
-    """ln sum_s exp(-beta E(s)/n)."""
+    """ln sum_s exp(-beta E(s)/n).  Every E(s) is positive, so the limit is
+    -inf at beta = +inf and +inf at beta = -inf."""
     _check_n(profile, n)
-    return float(_moments(profile, np.array([float(beta)]), n)[0][0])
+    beta = _check_beta(beta)
+    if math.isinf(beta):
+        return -beta
+    return float(_moments(profile, np.array([beta]), n)[0][0])
 
 
 def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
-    """Gibbs-average total energy sum_s E(s) P(s) at multiplier beta."""
+    """Gibbs-average total energy sum_s E(s) P(s) at multiplier beta.  The
+    mass sits on the minimizers at beta = +inf (e_min) and on the maximizers
+    at beta = -inf (e_max)."""
     _check_n(profile, n)
-    return float(_moments(profile, np.array([float(beta)]), n)[1][0])
+    beta = _check_beta(beta)
+    if math.isinf(beta):
+        return profile.e_min if beta > 0 else profile.e_max
+    return float(_moments(profile, np.array([beta]), n)[1][0])
 
 
 def _classify(profile: EnergyProfile, power: float, n: int):

@@ -62,6 +62,19 @@ def test_pattern_code_arrays():
         pattern_from_code(1, 65)
 
 
+@pytest.mark.parametrize("n", [1, 63, 64])
+def test_pattern_code_roundtrip_with_top_bit(n):
+    top = 1 << (n - 1)
+    for code in (top, top | 1, top | (top >> 1), (1 << n) - 1, 0):
+        got = code_from_pattern(pattern_from_code(code, n))
+        assert type(got) is int and got == code
+
+
+def test_code_from_pattern_rejects_above_64_bits():
+    with pytest.raises(ValueError, match="64 bits"):
+        code_from_pattern(np.ones(65))
+
+
 def test_analytic_requires_dd(three_tap_ops):
     with pytest.raises(NotDiagonallyDominant):
         analytic_energy(three_tap_ops, np.ones(12))
@@ -407,6 +420,37 @@ def test_screened_chunks_skip_the_solver(monkeypatch, two_tap_ops):
 
     monkeypatch.setattr(energy_module, "_solve", fail)
     assert enumerate_profile(two_tap_ops).orbit_energies.size == 180
+
+
+def test_chunk_is_a_power_of_two():
+    # The Parseval dgemv keeps a row's bits wherever the row sits in a call
+    # only for row counts that are multiples of 4.
+    assert _CHUNK % 4 == 0 and _CHUNK & (_CHUNK - 1) == 0
+
+
+def _profile_fields(prof):
+    return prof.orbit_energies.tobytes(), prof.e_mean, prof.min_count
+
+
+# (1, 0.8) at N = 14 sends orbits to the QP; (1, 0.2) at N = 17 has 3,856
+# orbits, in 964 chunks of 4 or in three of 2^10 and a partial last one.
+@pytest.mark.parametrize("taps, n", [((1.0, 0.8), 14), ((1.0, 0.2), 17)])
+def test_profile_bits_do_not_depend_on_chunk_size(monkeypatch, taps, n):
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    want = _profile_fields(enumerate_profile(ops))
+    for chunk in (4, 1 << 10, 1 << 14):
+        monkeypatch.setattr(energy_module, "_CHUNK", chunk)
+        assert _profile_fields(enumerate_profile(ops)) == want
+
+
+@pytest.mark.parametrize("n", [19, 20])
+def test_chunked_energies_equal_one_call_over_all_orbits(n):
+    ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, n))
+    prof = enumerate_profile(ops)
+    pats = pattern_from_code(prof.orbit_codes, n)
+    whole = DELTA**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ ops.spec_weight) / n)
+    assert prof.orbit_codes.size > 3 * _CHUNK
+    assert prof.orbit_energies.tobytes() == whole.tobytes()
 
 
 # Channels with 0.1 <= |f| <= 10 |f|_min, so G is finite and well conditioned.

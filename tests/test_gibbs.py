@@ -133,6 +133,19 @@ def test_non_finite_power_rejected(two_tap_profile, power):
         solve_beta(two_tap_profile, power, N)
 
 
+def test_moments_at_infinite_beta_are_the_limits(two_tap_profile):
+    assert log_partition(two_tap_profile, math.inf, N) == -math.inf
+    assert avg_energy(two_tap_profile, math.inf, N) == two_tap_profile.e_min
+    assert log_partition(two_tap_profile, -math.inf, N) == math.inf
+    assert avg_energy(two_tap_profile, -math.inf, N) == two_tap_profile.e_max
+
+
+@pytest.mark.parametrize("fn", [log_partition, avg_energy])
+def test_nan_beta_rejected(two_tap_profile, fn):
+    with pytest.raises(ValueError, match="NaN"):
+        fn(two_tap_profile, math.nan, N)
+
+
 @pytest.mark.parametrize("fn, arg", [(solve_beta, 0.08), (log_partition, 1.0), (avg_energy, 1.0)])
 def test_block_length_mismatch_rejected(two_tap_profile, fn, arg):
     # A profile of N = 12 summed as if N were 20 would give a wrong answer.
