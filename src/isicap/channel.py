@@ -46,6 +46,18 @@ def _as_int(name: str, value) -> int:
     return int(value)
 
 
+def _check_delta(delta) -> None:
+    """Raise ValueError unless delta is positive and finite and delta^2 is a
+    normal float."""
+    if not 0 < delta < np.inf:
+        raise ValueError("delta must be positive and finite")
+    # Energies and powers scale by delta^2, so it must be a normal float: an
+    # overflow to inf or an underflow to 0 or a subnormal is rejected here
+    # (delta**2 itself raises OverflowError, and an int delta squares exactly).
+    if not sys.float_info.min <= delta * delta <= sys.float_info.max:
+        raise ValueError(f"delta^2 must be a normal float, got delta={delta!r}")
+
+
 @dataclass(frozen=True)
 class ChannelSpec:
     """Problem instance: taps, threshold and block length.
@@ -68,14 +80,7 @@ class ChannelSpec:
             raise ValueError("taps must be finite")
         if not any(t != 0.0 for t in taps):
             raise ValueError("all taps are zero")
-        if not 0 < self.delta < np.inf:
-            raise ValueError("delta must be positive and finite")
-        # Energies and powers scale by delta^2, so it must be a normal float:
-        # an overflow to inf or an underflow to 0 or a subnormal is rejected
-        # here (delta**2 itself raises OverflowError, and an int delta squares
-        # exactly).
-        if not sys.float_info.min <= self.delta * self.delta <= sys.float_info.max:
-            raise ValueError(f"delta^2 must be a normal float, got delta={self.delta!r}")
+        _check_delta(self.delta)
         object.__setattr__(self, "block_len", _as_int("block_len", self.block_len))
         if self.block_len < len(taps):
             raise ValueError("block_len must be at least the tap count")
@@ -173,8 +178,8 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
 
 def _check_len(ops: ChannelOperators, v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    if v.shape[-1] != ops.n:
-        raise DimensionMismatch(f"expected length {ops.n}, got {v.shape[-1]}")
+    if v.shape[-1:] != (ops.n,):
+        raise DimensionMismatch(f"expected length {ops.n}, got shape {v.shape}")
     return v
 
 

@@ -68,6 +68,8 @@ def _parse_taps(text: str) -> tuple:
 
 
 def _parse_grid(text: str) -> tuple:
+    if not text:
+        raise ValueError("grid must be nonempty")
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -76,6 +78,10 @@ def _parse_grid(text: str) -> tuple:
         count = int(parts[2])
         if count < 1:
             raise ValueError("grid count must be >= 1")
+        # hi - lo is finite only when both ends are and their span does not
+        # overflow, and then np.linspace raises no RuntimeWarning.
+        if not np.isfinite(hi - lo):
+            raise ValueError(f"grid values must be finite, got {text!r}")
         values = tuple(float(v) for v in np.linspace(lo, hi, count))
     else:
         values = tuple(float(t) for t in text.split(","))
@@ -101,7 +107,7 @@ def _gridded_spec(args):
     after the taps and before the spec is checked.  The printed value echoes
     the parsed grid exactly when it was given in normalized units."""
     taps = _parse_taps(args.taps)
-    grid = _parse_grid(args.grid) if args.grid else ()
+    grid = _parse_grid(args.grid)
     spec = ChannelSpec(taps, args.delta, args.n)
     d2 = spec.delta**2
     return spec, [(v, v / d2) if args.raw_units else (v * d2, v) for v in grid]
@@ -177,50 +183,42 @@ def cmd_validate(args):
     return lines, EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _fig3_lines(block_len: int):
-    lines = [f"# isicap figures fig3 delta={_fmt(_FIG_DELTA)} n={block_len}"]
+def _figure_lines(which: str, block_len: int, rows):
+    """The CSV lines of one figure.  Each row is one channel: (series label
+    suffix, taps, capacity abscissas, Markov abscissas, Markov power model,
+    verified), the abscissas in P/delta^2."""
+    lines = [f"# isicap figures {which} delta={_fmt(_FIG_DELTA)} n={block_len}"]
     lines.append("series,p_over_delta2,bits,verified")
     d2 = _FIG_DELTA**2
-    # Both published series share the 16-point grid spanning the eps=0.2
-    # feasible band [pmin, pbar].
-    lo = pmin_two_tap(0.2, _FIG_DELTA) / d2
-    hi = pbar_two_tap(0.2, _FIG_DELTA) / d2
-    grid = np.linspace(lo, hi, 16)
-    for eps in _FIG3_EPSILONS:
-        verified = "true" if eps == 0.2 else "false"
-        spec = ChannelSpec((1.0, eps), _FIG_DELTA, block_len)
-        ops = build_operators(spec)
-        rows = capacity_curve(ops, [x * d2 for x in grid])
-        for x, (_, sol) in zip(grid, rows):
-            lines.append(
-                f"C_eps{_fmt(eps)},{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},{verified}"
-            )
-        rates = achievable_rate_curve(spec, [float(x) * d2 for x in grid])
-        for x, (rate, _) in zip(grid, rates):
-            lines.append(f"Rm_eps{_fmt(eps)},{_fmt(x)},{_fmt(rate)},{verified}")
-    return lines
-
-
-def _fig4_lines(block_len: int):
-    lines = [f"# isicap figures fig4 delta={_fmt(_FIG_DELTA)} n={block_len}"]
-    lines.append("series,p_over_delta2,bits,verified")
-    d2 = _FIG_DELTA**2
-    spec = ChannelSpec(_FIG4_TAPS, _FIG_DELTA, block_len)
-    ops = build_operators(spec)
-    rows = capacity_curve(ops, [x * d2 for x in _FIG4_CAPACITY_X])
-    for x, (_, sol) in zip(_FIG4_CAPACITY_X, rows):
-        lines.append(f"C,{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},true")
-    # The published Markov curve reflects the block-length-12 power, not its
-    # large-N limit, so the finite model is used here.
-    rates = achievable_rate_curve(spec, [x * d2 for x in _FIG4_MARKOV_X], power_model="finite")
-    for x, (rate, _) in zip(_FIG4_MARKOV_X, rates):
-        lines.append(f"Rm,{_fmt(x)},{_fmt(rate)},true")
+    for suffix, taps, capacity_x, markov_x, power_model, verified in rows:
+        flag = "true" if verified else "false"
+        spec = ChannelSpec(taps, _FIG_DELTA, block_len)
+        curve = capacity_curve(build_operators(spec), [x * d2 for x in capacity_x])
+        for x, (_, sol) in zip(capacity_x, curve):
+            lines.append(f"C{suffix},{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},{flag}")
+        rates = achievable_rate_curve(spec, [x * d2 for x in markov_x], power_model=power_model)
+        for x, (rate, _) in zip(markov_x, rates):
+            lines.append(f"Rm{suffix},{_fmt(x)},{_fmt(rate)},{flag}")
     return lines
 
 
 def cmd_figures(args):
-    figure = {"fig3": _fig3_lines, "fig4": _fig4_lines}[args.which]
-    return figure(args.n), EXIT_OK
+    if args.which == "fig3":
+        # Both published series share the 16-point grid spanning the eps=0.2
+        # feasible band [pmin, pbar].
+        d2 = _FIG_DELTA**2
+        lo = pmin_two_tap(0.2, _FIG_DELTA) / d2
+        hi = pbar_two_tap(0.2, _FIG_DELTA) / d2
+        grid = np.linspace(lo, hi, 16)
+        rows = [
+            (f"_eps{_fmt(eps)}", (1.0, eps), grid, grid, "asymptotic", eps == 0.2)
+            for eps in _FIG3_EPSILONS
+        ]
+    else:
+        # The published Markov curve reflects the block-length-12 power, not its
+        # large-N limit, so the finite model is used here.
+        rows = [("", _FIG4_TAPS, _FIG4_CAPACITY_X, _FIG4_MARKOV_X, "finite", True)]
+    return _figure_lines(args.which, args.n, rows), EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):

@@ -135,19 +135,28 @@ class EnergyProfile:
 def pattern_from_code(code, n: int) -> np.ndarray:
     """Decode an integer code, or an array of them, into +-1 patterns (bit N-1
     is entry 0, N <= 64): shape (n,) for one code, codes.shape + (n,) for an
-    array.  Each code's big-endian 64-bit word is unpacked to bits."""
+    array.  Each code's big-endian 64-bit word is unpacked to bits.  A code
+    outside [0, 2^N) raises ValueError."""
     if not 0 <= n <= 64:
         raise ValueError(f"codes hold at most 64 bits, got N={n}")
-    words = np.asarray(code, dtype=">u8")[..., None].view(np.uint8)
+    # Anything but an array goes through an object array, which holds every
+    # Python int exactly (a list of int64 and uint64 values becomes float64).
+    codes = code if isinstance(code, np.ndarray) else np.asarray(code, dtype=object)
+    if not np.all((0 <= codes) & (codes < 1 << n)):
+        raise ValueError(f"codes must lie in [0, 2^{n}) for N={n}")
+    words = codes.astype(">u8")[..., None].view(np.uint8)
     return np.unpackbits(words, axis=-1)[..., 64 - n :] * 2.0 - 1.0
 
 
 def code_from_pattern(signs) -> int:
-    """The nonnegative code of a pattern (entry 0 is bit N-1, N <= 64): its
+    """The nonnegative code of a +-1 pattern (entry 0 is bit N-1, N <= 64): its
     bits packed big-endian into bytes, less the zero bits padding the last."""
-    bits = np.asarray(signs) > 0
-    if bits.size > 64:
-        raise ValueError(f"codes hold at most 64 bits, got N={bits.size}")
+    signs = np.asarray(signs)
+    if signs.size > 64:
+        raise ValueError(f"codes hold at most 64 bits, got N={signs.size}")
+    if not np.all(np.abs(signs) == 1):
+        raise ValueError("pattern entries must be exactly +-1")
+    bits = signs > 0
     return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
 
 
@@ -329,22 +338,22 @@ def energy(ops: ChannelOperators, s) -> EnergySolution:
 
 
 def _rotations(codes: np.ndarray, n: int):
-    """The n-bit codes rotated left by 0, 1, ..., n-1 places, one array each."""
+    """The n-bit codes rotated left by 0, 1, ..., n-1 places, one array each.
+    Rotation k is read off the code written twice, (c << n | c) >> (n - k),
+    which fits an int64 for n <= 31."""
     mask = (1 << n) - 1
+    doubled = (codes << n) | codes
     for k in range(n):
-        yield ((codes << k) | (codes >> (n - k))) & mask
+        turned = doubled >> (n - k)
+        turned &= mask
+        yield turned
 
 
 def _least_rotation(codes: np.ndarray, n: int) -> np.ndarray:
-    """The least rotation of each n-bit code (n <= 31).  Rotation k is read off
-    the code written twice, (c << n | c) >> k, into one scratch buffer."""
-    mask = (1 << n) - 1
-    least = codes.copy()
-    doubled = (codes << n) | codes
-    turned = np.empty_like(codes)
-    for k in range(1, n):
-        np.right_shift(doubled, k, out=turned)
-        turned &= mask
+    """The least rotation of each n-bit code (n <= 31)."""
+    turns = _rotations(codes, n)
+    least = next(turns)
+    for turned in turns:
         np.minimum(least, turned, out=least)
     return least
 
@@ -360,38 +369,21 @@ def _necklaces(n: int):
     each level stays sorted.  At length n the prenecklaces whose period
     divides n are the necklaces.
     """
-    # Level t holds one prenecklace per Lyndon word of length at most t (that
-    # word repeated), and n has one necklace per Lyndon word whose length
-    # divides n; d * lyndon[d] summed over the divisors d of m is 2^m.  So the
-    # buffers are sized once, for the largest level, and reused.
-    lyndon = [0] * (n + 1)
-    for m in range(1, n + 1):
-        lyndon[m] = ((1 << m) - sum(d * lyndon[d] for d in range(1, m) if m % d == 0)) // m
-    parents = sum(lyndon[:n])
-    necklaces = sum(lyndon[d] for d in range(1, n + 1) if n % d == 0)
-    words = np.empty((2, max(parents, necklaces)), dtype=np.int64)
-    periods = np.empty(words.shape, dtype=np.uint8)
-    kids = np.empty((parents, 2), dtype=np.int64)
-    kid_periods = np.empty(kids.shape, dtype=np.uint8)
-    keep = np.empty(kids.shape, dtype=bool)
-    words[0, :2], periods[0, :2], size = (0, 1), 1, 2
+    words = np.array([0, 1], dtype=np.int64)
+    periods = np.ones(2, dtype=np.uint8)
     for t in range(1, n):
-        w, p = words[(t - 1) % 2, :size], periods[(t - 1) % 2, :size]
-        k, kp, kk = kids[:size], kid_periods[:size], keep[:size]
-        # The reference bit r goes to column 1 until the children are formed.
-        np.right_shift(w, p - 1, out=k[:, 1])
-        k[:, 1] &= 1
-        np.equal(k[:, 1], 0, out=kk[:, 1])
-        np.left_shift(w, 1, out=k[:, 0])
-        k[:, 0] += k[:, 1]
-        np.bitwise_or(k[:, 0], 1, out=k[:, 1])
-        kp[:, 0], kp[:, 1] = p, t + 1
-        kk[:, 0] = True if t + 1 < n else n % p == 0
-        size = np.count_nonzero(kk)
-        words[t % 2, :size] = k[kk]
-        periods[t % 2, :size] = kp[kk]
-    last = (n - 1) % 2
-    return words[last, :size].copy(), periods[last, :size].astype(np.int64)
+        ref = (words >> (periods - 1)) & 1
+        kids = np.empty((words.size, 2), dtype=np.int64)
+        np.left_shift(words, 1, out=kids[:, 0])
+        kids[:, 0] += ref
+        np.bitwise_or(kids[:, 0], 1, out=kids[:, 1])
+        kid_periods = np.empty(kids.shape, dtype=np.uint8)
+        kid_periods[:, 0], kid_periods[:, 1] = periods, t + 1
+        keep = np.empty(kids.shape, dtype=bool)
+        keep[:, 0] = True if t + 1 < n else n % periods == 0
+        np.equal(ref, 0, out=keep[:, 1])
+        words, periods = kids[keep], kid_periods[keep]
+    return words, periods.astype(np.int64)
 
 
 def _orbits(n: int):

@@ -276,16 +276,21 @@ def achievable_rate(spec: ChannelSpec, power: float, power_model: str = "asympto
 
 
 def power_two_tap_closed_form(epsilon: float, delta: float, alpha: float) -> float:
-    """Asymptotic Markov power for taps (1, eps):
+    """Asymptotic Markov power for taps (1, eps), |eps| < 1, and alpha in [0, 1]:
     delta^2/(1-eps^2) * (1 - eps*rho)/(1 + eps*rho)."""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError(f"alpha must lie in [0, 1], got {alpha!r}")
     rho = 2.0 * alpha - 1.0
-    return delta**2 / (1.0 - epsilon**2) * (1.0 - epsilon * rho) / (1.0 + epsilon * rho)
+    return pbar_two_tap(epsilon, delta) * (1.0 - epsilon * rho) / (1.0 + epsilon * rho)
 
 
 def rate_two_tap_closed_form(epsilon: float, delta: float, power: float) -> float:
-    """Piecewise closed-form rate for taps (1, eps), 0 < eps < 1."""
+    """Piecewise closed-form rate for taps (1, eps), 0 < eps < 1, at a finite
+    power."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
+    if not math.isfinite(power):
+        raise ValueError(f"power must be finite, got {power!r}")
     if power >= pbar_two_tap(epsilon, delta):
         return 1.0
     if power < pmin_two_tap(epsilon, delta):

@@ -19,7 +19,7 @@ Pbar = delta^2/(1-eps^2) and floor Pmin = delta^2/(1+eps)^2.
 
 import numpy as np
 
-from .channel import SINGULAR_TOL, ChannelSpec, frequency_response
+from .channel import SINGULAR_TOL, ChannelSpec, _check_delta, frequency_response
 from .exceptions import QuadratureFailure, SingularChannel
 
 # Coefficients at or below this fraction of max 1/|f|^2 are FFT round-off.
@@ -70,6 +70,7 @@ def pbar_two_tap(epsilon: float, delta: float) -> float:
     """Closed-form ceiling for taps (1, eps), |eps| < 1."""
     if not abs(epsilon) < 1:
         raise ValueError("|epsilon| must be < 1")
+    _check_delta(delta)
     return delta**2 / (1.0 - epsilon**2)
 
 
@@ -77,4 +78,5 @@ def pmin_two_tap(epsilon: float, delta: float) -> float:
     """Closed-form floor for taps (1, eps): the all-ones pattern's per-use energy."""
     if not 0 <= epsilon < 1:
         raise ValueError("epsilon must be in [0, 1)")
+    _check_delta(delta)
     return delta**2 / (1.0 + epsilon) ** 2

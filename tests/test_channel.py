@@ -157,6 +157,14 @@ def test_dimension_mismatch():
         apply_channel(ops, np.ones(7))
 
 
+@pytest.mark.parametrize("apply", [apply_channel, apply_inverse])
+@pytest.mark.parametrize("value", [1.0, np.float64(2.0), np.array(3.0)])
+def test_scalar_input_is_a_dimension_mismatch(apply, value):
+    ops = build_operators(ChannelSpec((1.0, 0.2), 0.3, 8))
+    with pytest.raises(DimensionMismatch, match="shape \\(\\)"):
+        apply(ops, value)
+
+
 def test_quantize_sign_convention():
     # Zero maps to +1.
     assert quantize(0.0) == 1

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -214,12 +215,29 @@ def test_bad_grid_rejected(capsys):
     assert "ascending" in err
 
 
-@pytest.mark.parametrize("grid", ["nan,0.8", "0.8,inf", "0.5:nan:3"])
+@pytest.mark.parametrize(
+    "grid",
+    ["nan,0.8", "0.8,inf", "0.5:nan:3", "0.5:inf:3", "nan:1:3", "0:inf:1", "-1.7e308:1.7e308:3"],
+)
 def test_non_finite_grid_rejected(capsys, grid):
-    code, out, err = run_cli(capsys, "capacity", "--taps", "1,0.2", "--n", "8", "--grid", grid)
+    # A range's ends and their span are checked before np.linspace, which
+    # would warn on them; the last range has finite ends and an infinite span.
+    for cmd in ("capacity", "markov"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", "--n", "8", f"--grid={grid}")
+        assert code == 1
+        assert out == ""
+        assert "finite" in err
+        assert "RuntimeWarning" not in err
+
+
+@pytest.mark.parametrize("cmd", ["capacity", "markov"])
+def test_empty_grid_rejected(capsys, cmd):
+    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", "--grid", "")
     assert code == 1
     assert out == ""
-    assert "finite" in err
+    assert "grid must be nonempty" in err
 
 
 @pytest.mark.parametrize("cmd", ["capacity", "markov", "energy"])

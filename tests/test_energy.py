@@ -25,7 +25,15 @@ from isicap import (
     solve_energy_qp,
 )
 from isicap.channel import DENSE_GRAM_CAP
-from isicap.energy import _CHUNK, ENUMERATION_CAP, MIN_TIE_TOL, _necklaces, _orbits
+from isicap.energy import (
+    _CHUNK,
+    ENUMERATION_CAP,
+    MIN_TIE_TOL,
+    _least_rotation,
+    _necklaces,
+    _orbits,
+    _rotations,
+)
 from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
@@ -73,6 +81,40 @@ def test_pattern_code_roundtrip_with_top_bit(n):
 def test_code_from_pattern_rejects_above_64_bits():
     with pytest.raises(ValueError, match="64 bits"):
         code_from_pattern(np.ones(65))
+
+
+@pytest.mark.parametrize(
+    "code, n",
+    [
+        (8, 3),
+        (-1, 3),
+        (1 << 64, 64),
+        (-1, 64),
+        (np.array([0, 5, 8]), 3),
+        (np.array([[1, 2], [-1, 3]]), 3),
+        (np.array([1 << 20]), 20),
+        (np.array([-1, 0], dtype=np.int64), 64),
+        ([0, 1 << 64], 64),
+    ],
+)
+def test_pattern_from_code_rejects_codes_outside_range(code, n):
+    with pytest.raises(ValueError, match="codes must lie in"):
+        pattern_from_code(code, n)
+
+
+def test_pattern_from_code_accepts_top_bit_at_64():
+    top = 1 << 63
+    np.testing.assert_array_equal(
+        pattern_from_code(np.array([top, top - 1], dtype=np.uint64), 64)[:, 0], [1, -1]
+    )
+    # A list of Python ints is decoded exactly, not through float64.
+    np.testing.assert_array_equal(pattern_from_code([1, (1 << 64) - 2], 64)[:, -1], [1, -1])
+
+
+@pytest.mark.parametrize("signs", [[0, 1], [1, 2], [-1.0, 0.5], [1.0, math.nan], np.zeros(64)])
+def test_code_from_pattern_rejects_entries_other_than_pm1(signs):
+    with pytest.raises(ValueError, match="exactly \\+-1"):
+        code_from_pattern(signs)
 
 
 def test_analytic_requires_dd(three_tap_ops):
@@ -624,7 +666,7 @@ def _fkm_necklaces(n):
     return np.array(codes, dtype=np.int64), np.array(periods, dtype=np.int64)
 
 
-@pytest.mark.parametrize("n", range(1, 21))
+@pytest.mark.parametrize("n", range(1, 25))
 def test_necklaces_match_fkm_loop(n):
     codes, periods = _necklaces(n)
     ref_codes, ref_periods = _fkm_necklaces(n)
@@ -633,18 +675,31 @@ def test_necklaces_match_fkm_loop(n):
     np.testing.assert_array_equal(periods, ref_periods)
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_orbits_against_brute_force(n):
-    # Least code of each orbit under rotation and negation, and orbit sizes.
+def _shifted_rotations(codes, n):
+    """Rotation k of each code as ((c << k) | (c >> (n - k))) & mask, k < n."""
     mask = (1 << n) - 1
-    sizes = {}
-    for code in range(1 << n):
-        rotations = [((code << k) | (code >> (n - k))) & mask for k in range(n)]
-        least = min(rotations + [r ^ mask for r in rotations])
-        sizes[least] = sizes.get(least, 0) + 1
+    return np.array([((codes << k) | (codes >> (n - k))) & mask for k in range(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_orbits_against_brute_force(n):
+    # Least code of each orbit under rotation and negation, and orbit sizes,
+    # from the 2n images of every code.
+    rotations = _shifted_rotations(np.arange(1 << n, dtype=np.int64), n)
+    least = np.minimum(rotations, rotations ^ ((1 << n) - 1)).min(axis=0)
+    ref_codes, ref_sizes = np.unique(least, return_counts=True)
     codes, mult = _orbits(n)
-    assert codes.tolist() == sorted(sizes)
-    assert mult.tolist() == [sizes[c] for c in sorted(sizes)]
+    assert codes.dtype == mult.dtype == np.int64
+    np.testing.assert_array_equal(codes, ref_codes)
+    np.testing.assert_array_equal(mult, ref_sizes)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rotations_and_least_rotation_match_shifts(n):
+    codes = np.arange(1 << n, dtype=np.int64)
+    ref = _shifted_rotations(codes, n)
+    np.testing.assert_array_equal(list(_rotations(codes, n)), ref)
+    np.testing.assert_array_equal(_least_rotation(codes, n), ref.min(axis=0))
 
 
 @pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, 0.8), (-0.3, 1.0, 0.6)])

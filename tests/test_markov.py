@@ -263,6 +263,36 @@ def test_closed_form_boundaries():
         rate_two_tap_closed_form(1.0, DELTA, 0.1)
 
 
+@pytest.mark.parametrize("delta", [0.0, -0.3, math.nan, math.inf, 1e200])
+def test_two_tap_closed_forms_reject_bad_delta(delta):
+    with pytest.raises(ValueError, match="delta"):
+        rate_two_tap_closed_form(0.2, delta, 0.1)
+    with pytest.raises(ValueError, match="delta"):
+        power_two_tap_closed_form(0.2, delta, 0.5)
+
+
+@pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
+def test_two_tap_closed_form_rate_rejects_non_finite_power(power):
+    with pytest.raises(ValueError, match="power must be finite"):
+        rate_two_tap_closed_form(0.2, DELTA, power)
+
+
+@pytest.mark.parametrize("alpha", [-0.1, 1.5, 2.0, math.nan])
+def test_two_tap_closed_form_power_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        power_two_tap_closed_form(0.2, DELTA, alpha)
+
+
+def test_two_tap_closed_form_power_accepts_alpha_ends_and_rejects_bad_epsilon():
+    assert power_two_tap_closed_form(0.2, DELTA, 0.5) == pbar_two_tap(0.2, DELTA)
+    assert power_two_tap_closed_form(0.2, DELTA, 1.0) == pytest.approx(
+        pmin_two_tap(0.2, DELTA), rel=1e-15
+    )
+    assert power_two_tap_closed_form(0.2, DELTA, 0.0) > pbar_two_tap(0.2, DELTA)
+    with pytest.raises(ValueError, match="epsilon"):
+        power_two_tap_closed_form(1.0, DELTA, 0.5)
+
+
 @pytest.mark.parametrize("model", ["asymptotic", "finite"])
 @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
 def test_non_finite_power_rejected(power, model):

@@ -1,5 +1,7 @@
 """The Fourier series of 1/|f|^2 and the closed-form power thresholds."""
 
+import math
+
 import pytest
 
 import isicap.spectral as spectral
@@ -26,6 +28,14 @@ def test_pmin_two_tap_values():
     assert pmin_two_tap(0.0, 0.5) == 0.25
     with pytest.raises(ValueError):
         pmin_two_tap(-0.1, 0.3)
+
+
+@pytest.mark.parametrize("closed_form", [pbar_two_tap, pmin_two_tap])
+@pytest.mark.parametrize("delta", [0.0, -0.3, math.nan, math.inf, 1e200, 1e-170])
+def test_two_tap_thresholds_reject_bad_delta(closed_form, delta):
+    # The rule of ChannelSpec: positive and finite, with a normal delta^2.
+    with pytest.raises(ValueError, match="delta"):
+        closed_form(0.2, delta)
 
 
 @pytest.mark.parametrize("eps", [0.1, 0.2, 0.45, 0.8])
