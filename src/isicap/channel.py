@@ -32,11 +32,6 @@ SINGULAR_TOL = 1e-9
 # not flip the classification.
 DD_TOL = 1e-12
 
-# Dense materialization of the N x N Gram inverse is allowed only at small N;
-# larger blocks use the circulant generator and FFT actions.  Exhaustive
-# enumeration, its largest user, reaches N = energy.ENUMERATION_CAP.
-DENSE_GRAM_CAP = 20
-
 
 def _as_int(name: str, value) -> int:
     """value as an int; bool and non-integers (12.0 included) are rejected,
@@ -116,11 +111,7 @@ class ChannelOperators:
         return np.conj(self.dft_gains)
 
     def gram_inverse(self):
-        """Materialize G densely.  Restricted to N <= DENSE_GRAM_CAP."""
-        if self.n > DENSE_GRAM_CAP:
-            raise DimensionMismatch(
-                f"dense Gram inverse capped at N={DENSE_GRAM_CAP}, got N={self.n}"
-            )
+        """Materialize G densely: N x N floats, gathered from the generator."""
         idx = (np.arange(self.n)[:, None] - np.arange(self.n)[None, :]) % self.n
         return self.gram_generator[idx]
 

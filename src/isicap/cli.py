@@ -105,12 +105,16 @@ def _config_lines(cmd: str, spec: ChannelSpec, seed: int, extra: str = "") -> li
 def _gridded_spec(args):
     """The spec and the (raw power, printed P/delta^2) pairs of --grid, parsed
     after the taps and before the spec is checked.  The printed value echoes
-    the parsed grid exactly when it was given in normalized units."""
+    the parsed grid exactly when it was given in normalized units.  A grid
+    value whose conversion overflows is rejected in either unit."""
     taps = _parse_taps(args.taps)
     grid = _parse_grid(args.grid)
     spec = ChannelSpec(taps, args.delta, args.n)
     d2 = spec.delta**2
-    return spec, [(v, v / d2) if args.raw_units else (v * d2, v) for v in grid]
+    pairs = [(v, v / d2) if args.raw_units else (v * d2, v) for v in grid]
+    if not np.all(np.isfinite(pairs)):
+        raise ValueError("grid values must give a finite power and P/delta^2")
+    return spec, pairs
 
 
 def cmd_capacity(args):

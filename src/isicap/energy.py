@@ -50,7 +50,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelOperators, apply_inverse
+from .channel import ChannelOperators, _as_int, apply_inverse
 from .exceptions import NoConvergence, NotDiagonallyDominant, TooLarge
 
 # Exhaustive enumeration cap: 2^20 patterns is the desk-scale budget.
@@ -135,13 +135,20 @@ class EnergyProfile:
 def pattern_from_code(code, n: int) -> np.ndarray:
     """Decode an integer code, or an array of them, into +-1 patterns (bit N-1
     is entry 0, N <= 64): shape (n,) for one code, codes.shape + (n,) for an
-    array.  Each code's big-endian 64-bit word is unpacked to bits.  A code
-    outside [0, 2^N) raises ValueError."""
+    array.  Each code's big-endian 64-bit word is unpacked to bits.  A bool or
+    non-integer code, or one outside [0, 2^N), raises ValueError."""
     if not 0 <= n <= 64:
         raise ValueError(f"codes hold at most 64 bits, got N={n}")
     # Anything but an array goes through an object array, which holds every
     # Python int exactly (a list of int64 and uint64 values becomes float64).
     codes = code if isinstance(code, np.ndarray) else np.asarray(code, dtype=object)
+    # An integer array passes on its dtype; object entries are checked one by
+    # one, by the rule of the channel's integer parameters.
+    if codes.dtype == object:
+        for c in codes.flat:
+            _as_int("code", c)
+    elif not np.issubdtype(codes.dtype, np.integer):
+        raise ValueError(f"codes must be integers, got dtype {codes.dtype}")
     if not np.all((0 <= codes) & (codes < 1 << n)):
         raise ValueError(f"codes must lie in [0, 2^{n}) for N={n}")
     words = codes.astype(">u8")[..., None].view(np.uint8)
@@ -289,13 +296,13 @@ def _active_set(ops, s, budget):
     return z, mu
 
 
-def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
-    """x*, E, dual and duality gap for each pattern row of s.  The certificate
-    is checked per row: the active set's z, with x* = M_h^{-1} diag(s) z, must
-    be at least delta (primal feasibility; the dual is nonnegative by
-    construction) and the gap within its tolerance, else NoConvergence is
-    raised."""
-    budget = 3 * ops.n if max_iter is None else max_iter
+def _solve(ops: ChannelOperators, s, gap_tol=None):
+    """x*, E, dual and duality gap for each pattern row of s, after at most 3N
+    pivots.  The certificate is checked per row: the active set's z, with
+    x* = M_h^{-1} diag(s) z, must be at least delta (primal feasibility; the
+    dual is nonnegative by construction) and the gap within its tolerance,
+    else NoConvergence is raised."""
+    budget = 3 * ops.n
     z, mu = _active_set(ops, s, budget)
     x = apply_inverse(ops, s * z)
     dual = np.maximum(mu, 0.0)
@@ -321,14 +328,12 @@ def _solve(ops: ChannelOperators, s, gap_tol=None, max_iter=None):
     return x, e, dual, gap
 
 
-def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None, max_iter=None) -> EnergySolution:
+def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
     """E(s) by the active-set method from the closed form, certified by primal
     feasibility and the duality gap (at rounding level the gap can be
-    negative).  max_iter is the pivot budget (default 3N; the first pivot frees
-    every negative closed-form multiplier at once); gap_tol bounds the gap, by
-    default 1e-8 * max(1, E)."""
+    negative).  gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
     s = _as_pattern(ops.n, s)
-    x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol, max_iter=max_iter)
+    x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol)
     return EnergySolution(float(e[0]), x[0], dual[0], float(gap[0]))
 
 

@@ -10,7 +10,7 @@ class SingularChannel(IsicapError):
 
 
 class DimensionMismatch(IsicapError):
-    """A vector argument does not have the block length N."""
+    """A vector argument's shape does not end in the block length N."""
 
 
 class NotDiagonallyDominant(IsicapError):
@@ -21,7 +21,7 @@ class NotDiagonallyDominant(IsicapError):
 class NoConvergence(IsicapError):
     """An iterative solve did not meet its certificate: the active-set QP
     solver left a pattern with z = diag(s) M x below delta or a duality gap
-    above tolerance after its pivot budget (carries that pattern's gap), or the
+    above tolerance after 3N pivots (carries that pattern's gap), or the
     Gibbs multiplier search spent its weighted passes (gap is None)."""
 
     def __init__(self, message, gap=None):
@@ -30,7 +30,8 @@ class NoConvergence(IsicapError):
 
 
 class TooLarge(IsicapError):
-    """Block length exceeds the cap for an exhaustive or dense computation."""
+    """Block length exceeds energy.ENUMERATION_CAP, the cap on the exhaustive
+    profile over all 2^N patterns."""
 
 
 class InfeasiblePower(IsicapError):

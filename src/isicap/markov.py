@@ -44,13 +44,7 @@ from .channel import (
     build_operators,
     frequency_response,
 )
-from .exceptions import TooLarge
 from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
-
-# Cap on exact finite-N power evaluation.  The power is two O(N) sums, over
-# the DFT gains and over the correlation tail of the Gram generator; no N x N
-# matrix is formed.
-DENSE_CAP = 4096
 
 _ALPHA_BISECT_TOL = 1e-10
 
@@ -110,11 +104,10 @@ def _finite_powers(ops: ChannelOperators):
     With W = M_h^{-1} M_h^{-T} circulant (generator g = IDFT(1/|f|^2)) and R
     Toeplitz, the trace collapses to sum_k 1/|f_k|^2 + 2 sum_t (N-t) rho^t g_t.
     Each tail is one pairwise np.sum over its own row of terms; rows are
-    taken in blocks of about _BLOCK_TERMS terms.
+    taken in blocks of about _BLOCK_TERMS terms (one row once N - 1 exceeds
+    it), so no N x N matrix is formed at any N.
     """
     n = ops.n
-    if n > DENSE_CAP:
-        raise TooLarge(f"finite-N power evaluation capped at N={DENSE_CAP}")
     diag_sum = np.sum(ops.spec_weight)
     t = np.arange(1, n)
     lags = n - t

@@ -92,13 +92,14 @@ def test_inverse_roundtrip():
 
 
 def test_gram_inverse_against_dense():
-    n = 9
+    # N = 32 lies past the exhaustive profile's cap: the dense G has none.
     taps = (1.0, 0.2)
-    ops = build_operators(ChannelSpec(taps, 0.3, n))
-    m = circulant_matrix(taps, n)
-    g = np.linalg.inv(m @ m.T)
-    np.testing.assert_allclose(ops.gram_inverse(), g, atol=1e-12)
-    np.testing.assert_allclose(ops.gram_generator, g[:, 0], atol=1e-12)
+    for n in (9, 32):
+        ops = build_operators(ChannelSpec(taps, 0.3, n))
+        m = circulant_matrix(taps, n)
+        g = np.linalg.inv(m @ m.T)
+        np.testing.assert_allclose(ops.gram_inverse(), g, atol=1e-12)
+        np.testing.assert_allclose(ops.gram_generator, g[:, 0], atol=1e-12)
 
 
 def test_frequency_response_scalar_and_array():

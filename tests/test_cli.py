@@ -2,6 +2,7 @@
 
 import math
 import os
+import runpy
 import subprocess
 import sys
 import warnings
@@ -275,6 +276,43 @@ def test_raw_units_flag(capsys):
     rate_raw = float(parse_csv(out_raw)[1][0][1])
     assert rate_raw == pytest.approx(rate_norm, abs=1e-9)
     assert float(parse_csv(out_raw)[1][0][0]) == pytest.approx(0.9, rel=1e-12)
+
+
+@pytest.mark.parametrize("cmd", ["capacity", "markov"])
+@pytest.mark.parametrize(
+    "flags", [("--grid=0.5,1e308", "--raw-units"), ("--grid=1e307", "--delta", "10")]
+)
+def test_grid_conversion_overflow_rejected(capsys, cmd, flags):
+    # In raw units P/delta^2 overflows; in P/delta^2 units the power does.
+    # Either once printed inf and exited 0.
+    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", *flags)
+    assert code == cli.EXIT_CONFIG
+    assert out == ""
+    assert "finite" in err
+
+
+def test_markov_finite_power_at_large_n(capsys):
+    code, out, _ = run_cli(
+        capsys, "markov", "--taps", "1,0.2", "--n", "8192", "--power-model", "finite",
+        "--grid", "0.8:0.9:3",
+    )
+    assert code == 0
+    _, out_asym, _ = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.8:0.9:3")
+    rates = [float(r[1]) for r in parse_csv(out)[1]]
+    limits = [float(r[1]) for r in parse_csv(out_asym)[1]]
+    assert rates == pytest.approx(limits, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dd_threshold", "markov_power_convergence", "noisy_validation", "three_tap_curves",
+     "two_tap_rates"],
+)
+def test_demo_runs(capsys, name):
+    # The demos call the public API as a user would; run each as a script.
+    path = Path(__file__).resolve().parents[1] / "demos" / f"{name}.py"
+    runpy.run_path(str(path), run_name="__main__")
+    assert capsys.readouterr().out.strip()
 
 
 def test_deterministic_bytes(capsys):

@@ -24,7 +24,6 @@ from isicap import (
     pattern_from_code,
     solve_energy_qp,
 )
-from isicap.channel import DENSE_GRAM_CAP
 from isicap.energy import (
     _CHUNK,
     ENUMERATION_CAP,
@@ -38,6 +37,9 @@ from tests.test_acceptance import _nnls_energy
 from tests.test_channel import circulant_matrix
 
 DELTA = 0.3
+
+# Orbits of {-1, +1}^N under rotation and negation, by Burnside's lemma.
+ORBIT_COUNTS = {12: 180, 14: 596, 16: 2068, 20: 26272, 22: 95420, 24: 349716}
 
 # The package exports a function named energy, which hides the submodule.
 energy_module = importlib.import_module("isicap.energy")
@@ -100,6 +102,23 @@ def test_code_from_pattern_rejects_above_64_bits():
 def test_pattern_from_code_rejects_codes_outside_range(code, n):
     with pytest.raises(ValueError, match="codes must lie in"):
         pattern_from_code(code, n)
+
+
+@pytest.mark.parametrize(
+    "code",
+    [5.5, True, np.array([5.5]), np.array([True]), [1, 2.0], np.array([5.0]), np.float64(5.0)],
+)
+def test_pattern_from_code_rejects_non_integer_codes(code):
+    # Once truncated: 5.5 decoded as code 5 and True as code 1.
+    with pytest.raises(ValueError, match="code"):
+        pattern_from_code(code, 3)
+
+
+def test_pattern_from_code_accepts_numpy_integers():
+    np.testing.assert_array_equal(pattern_from_code(np.int64(5), 3), pattern_from_code(5, 3))
+    np.testing.assert_array_equal(
+        pattern_from_code([np.uint8(4), 1], 3), [pattern_from_code(4, 3), pattern_from_code(1, 3)]
+    )
 
 
 def test_pattern_from_code_accepts_top_bit_at_64():
@@ -178,13 +197,15 @@ def test_qp_certificates(three_tap_ops):
         assert sol.energy == pytest.approx(sol.x_star @ sol.x_star, rel=1e-12)
 
 
-def test_qp_nonconvergence_surfaces():
+def test_qp_nonconvergence_surfaces(monkeypatch):
     # This pattern's closed-form dual has a negative entry, so it needs a
     # pivot; with no pivot budget the gap cannot meet the tolerance.
     ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, 12))
     s = pattern_from_code(0b000101010101, 12)
+    inner = energy_module._active_set
+    monkeypatch.setattr(energy_module, "_active_set", lambda ops, s, budget: inner(ops, s, 0))
     with pytest.raises(NoConvergence) as err:
-        solve_energy_qp(ops, s, gap_tol=1e-16, max_iter=0)
+        solve_energy_qp(ops, s, gap_tol=1e-16)
     assert err.value.gap is not None and err.value.gap > 1e-16
 
 
@@ -574,16 +595,11 @@ def test_enumeration_cap():
         enumerate_profile(ops)
 
 
-def test_dense_gram_covers_enumeration():
-    # enumerate_profile forms diag(s) G s with the dense G up to the cap.
-    assert DENSE_GRAM_CAP >= ENUMERATION_CAP
-
-
 def test_profile_at_cap_matches_certified_energy():
     n = ENUMERATION_CAP
     ops = build_operators(ChannelSpec((-0.3, 1.0, 0.6), DELTA, n))
     prof = enumerate_profile(ops)
-    assert prof.orbit_codes.size == 26272 > _CHUNK
+    assert prof.orbit_codes.size == ORBIT_COUNTS[n] > _CHUNK
     rng = np.random.default_rng(20)
     picks = np.concatenate([
         rng.choice(_CHUNK, 100, replace=False),
@@ -635,9 +651,7 @@ def test_profile_energies_read_only(two_tap_profile):
         two_tap_profile.energies[0] = -1.0
 
 
-@pytest.mark.parametrize(
-    "n, count", [(12, 180), (14, 596), (16, 2068), (20, 26272), (22, 95420), (24, 349716)]
-)
+@pytest.mark.parametrize("n, count", ORBIT_COUNTS.items())
 def test_orbit_counts_match_burnside(n, count):
     codes, mult = _orbits(n)
     assert codes.size == count

@@ -13,7 +13,6 @@ from isicap import (
     ChannelSpec,
     MarkovScheme,
     SingularChannel,
-    TooLarge,
     achievable_rate,
     achievable_rate_curve,
     achievable_rate_detail,
@@ -99,10 +98,15 @@ def test_power_finite_iid_equals_trace_mean(two_tap_ops, three_tap_ops):
         assert power_finite_n(ops, MarkovScheme(0.5)) == mean_energy_trace(ops) / ops.n
 
 
-def test_power_finite_cap():
+def test_power_finite_at_large_n():
+    # Two O(N) sums with no N x N matrix: N = 8192 is as exact as N = 12, and
+    # close to the large-N limit.
     ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, 8192))
-    with pytest.raises(TooLarge):
-        power_finite_n(ops, MarkovScheme(0.6))
+    for alpha in (0.6, 0.78, 0.95):
+        scheme = MarkovScheme(alpha)
+        power = power_finite_n(ops, scheme)
+        assert power == reference_power_finite_n(ops, scheme)
+        assert power == pytest.approx(power_asymptotic(TWO_TAP, scheme), rel=1e-3)
 
 
 def test_power_asymptotic_two_tap_closed_form():
