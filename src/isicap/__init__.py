@@ -50,7 +50,6 @@ from .markov import (
     MarkovScheme,
     achievable_rate,
     achievable_rate_curve,
-    achievable_rate_detail,
     correlation,
     entropy_rate_bits,
     power_asymptotic,
@@ -93,7 +92,6 @@ __all__ = [
     "TooLarge",
     "achievable_rate",
     "achievable_rate_curve",
-    "achievable_rate_detail",
     "analytic_energy",
     "apply_channel",
     "apply_inverse",

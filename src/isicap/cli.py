@@ -92,10 +92,10 @@ def _parse_grid(text: str) -> tuple:
     return values
 
 
-def _config_lines(cmd: str, spec: ChannelSpec, seed: int, extra: str = "") -> list:
+def _config_lines(cmd: str, spec: ChannelSpec, extra: str = "") -> list:
     line = (
         f"# isicap {cmd} taps={','.join(_fmt(t) for t in spec.taps)}"
-        f" delta={_fmt(spec.delta)} n={spec.block_len} seed={seed}"
+        f" delta={_fmt(spec.delta)} n={spec.block_len}"
     )
     if extra:
         line += " " + extra
@@ -125,7 +125,7 @@ def cmd_capacity(args):
         raise InfeasiblePower(
             "every grid point is infeasible (below the minimum-energy floor)"
         )
-    lines = _config_lines("capacity", spec, args.seed)
+    lines = _config_lines("capacity", spec)
     lines.append("p_over_delta2,capacity_bits,regime,gibbs_beta")
     for (_, shown), (_, sol) in zip(pairs, rows):
         lines.append(
@@ -137,7 +137,7 @@ def cmd_capacity(args):
 
 def cmd_markov(args):
     spec, pairs = _gridded_spec(args)
-    lines = _config_lines("markov", spec, args.seed, extra=f"power_model={args.power_model}")
+    lines = _config_lines("markov", spec, extra=f"power_model={args.power_model}")
     lines.append("p_over_delta2,rate_bits,alpha_star")
     rows = achievable_rate_curve(spec, [p for p, _ in pairs], power_model=args.power_model)
     for (_, shown), (rate, alpha) in zip(pairs, rows):
@@ -150,7 +150,7 @@ def cmd_energy(args):
     ops = build_operators(spec)
     profile = enumerate_profile(ops)
     n = spec.block_len
-    lines = _config_lines("energy", spec, args.seed)
+    lines = _config_lines("energy", spec)
     lines.append("e_min_per_use,e_mean_per_use,e_max_per_use,min_count,dd_flag")
     lines.append(
         f"{_fmt(profile.e_min / n)},{_fmt(profile.e_mean / n)},"
@@ -175,9 +175,8 @@ def cmd_validate(args):
     q = report.theoretical_bound
     slack = 3.0 * np.sqrt(q * (1.0 - q) / report.num_symbols)
     ok = abs(report.empirical_flip_rate - q) <= slack
-    lines = _config_lines(
-        "validate", spec, args.seed, extra=f"sigma={_fmt(args.sigma)} alpha={_fmt(args.alpha)}"
-    )
+    extra = f"seed={args.seed} sigma={_fmt(args.sigma)} alpha={_fmt(args.alpha)}"
+    lines = _config_lines("validate", spec, extra=extra)
     lines.append(f"empirical_flip_rate={_fmt(report.empirical_flip_rate)}")
     lines.append(f"theoretical_bound={_fmt(report.theoretical_bound)}")
     lines.append(f"std_error={_fmt(report.std_error)}")
@@ -236,7 +235,6 @@ def _add_channel_flags(p, with_grid: bool):
     p.add_argument("--taps", required=True, help="comma-separated channel taps, e.g. 1,0.2")
     p.add_argument("--delta", type=float, default=0.3, help="threshold margin (default 0.3)")
     p.add_argument("--n", type=int, default=12, help="block length (default 12)")
-    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
     p.add_argument("--out", default="", help="output path (default stdout)")
     if with_grid:
         p.add_argument(
@@ -285,6 +283,7 @@ def _parser() -> _Parser:
     p.add_argument(
         "--symbols", type=int, default=1_000_000, help="symbol budget (default 1e6)"
     )
+    p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
     p = sub.add_parser("figures", help="reference CSV data for the standard channels")
     p.add_argument("which", choices=("fig3", "fig4"))

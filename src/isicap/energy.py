@@ -118,19 +118,6 @@ class EnergyProfile:
         full.flags.writeable = False
         return full
 
-    def energy_of(self, signs) -> float:
-        code = np.array([code_from_pattern(_as_pattern(self.n, signs))], dtype=np.int64)
-        mask = (1 << self.n) - 1
-        least = min(_least_rotation(code, self.n)[0], _least_rotation(code ^ mask, self.n)[0])
-        return float(self.orbit_energies[np.searchsorted(self.orbit_codes, least)])
-
-    def minimizer_codes(self) -> np.ndarray:
-        """Increasing codes of the patterns tied with e_min, expanded from the
-        tied orbits only (the 2^N energies are not built)."""
-        tied = self.orbit_codes[self.orbit_energies <= self.e_min * (1 + MIN_TIE_TOL)]
-        mask = (1 << self.n) - 1
-        return np.unique([(r, r ^ mask) for r in _rotations(tied, self.n)])
-
 
 def pattern_from_code(code, n: int) -> np.ndarray:
     """Decode an integer code, or an array of them, into +-1 patterns (bit N-1
@@ -328,18 +315,18 @@ def _solve(ops: ChannelOperators, s, gap_tol=None):
     return x, e, dual, gap
 
 
-def solve_energy_qp(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
-    """E(s) by the active-set method from the closed form, certified by primal
-    feasibility and the duality gap (at rounding level the gap can be
+def energy(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
+    """Certified E(s): the closed form where it is optimal, else the QP optimum
+    by the active-set method started from it.  The result is certified by
+    primal feasibility and the duality gap (at rounding level the gap can be
     negative).  gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
     s = _as_pattern(ops.n, s)
     x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol)
     return EnergySolution(float(e[0]), x[0], dual[0], float(gap[0]))
 
 
-def energy(ops: ChannelOperators, s) -> EnergySolution:
-    """Certified E(s): the closed form where it is optimal, else the QP optimum."""
-    return solve_energy_qp(ops, s)
+# The solver's older name, still used by callers.
+solve_energy_qp = energy
 
 
 def _rotations(codes: np.ndarray, n: int):

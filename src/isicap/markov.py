@@ -29,7 +29,7 @@ array.  One power evaluation settles up to five halvings through the dyadic
 nodes of every bracket, and each lane then follows the path that halving one
 step at a time would take, so every alpha and rate is that bisection's bit
 for bit.  Each power formula exists once, as an elementwise map over rho;
-power_finite_n, power_asymptotic and the one-budget rate functions call it.
+power_finite_n, power_asymptotic and achievable_rate_curve call it.
 """
 
 import math
@@ -255,17 +255,9 @@ def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asympto
     return best
 
 
-def achievable_rate_detail(spec: ChannelSpec, power: float, power_model: str = "asymptotic"):
-    """Max H2(alpha) s.t. P_zm(alpha) <= power; returns (rate, alpha_star).
-
-    The one-budget case of achievable_rate_curve.
-    """
-    return achievable_rate_curve(spec, [power], power_model=power_model)[0]
-
-
 def achievable_rate(spec: ChannelSpec, power: float, power_model: str = "asymptotic") -> float:
     """Best Markov-scheme rate under the power budget (0 if infeasible)."""
-    return achievable_rate_detail(spec, power, power_model=power_model)[0]
+    return achievable_rate_curve(spec, [power], power_model=power_model)[0][0]
 
 
 def power_two_tap_closed_form(epsilon: float, delta: float, alpha: float) -> float:

@@ -59,7 +59,6 @@ falls back, slowly but still exactly.
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -147,17 +146,6 @@ def _quiet_band(x: float):
     return lo, _LATTICE - 2 - lo
 
 
-# The sign stream in its plain chunk-wide form; the simulator forms the same
-# signs slice by slice from the same words.
-def _markov_signs(rng: np.random.Generator, nblocks: int, n: int, alpha: float) -> np.ndarray:
-    first = np.where(rng.random(size=(nblocks, 1)) < 0.5, 1.0, -1.0)
-    if n == 1:
-        return first
-    stay = rng.random(size=(nblocks, n - 1)) < alpha
-    steps = np.where(stay, 1.0, -1.0)
-    return np.cumprod(np.concatenate([first, steps], axis=1), axis=1)
-
-
 def _words_at(key: np.ndarray, offset: int) -> np.random.Philox:
     """The Philox stream with this key, positioned at word `offset`.
 
@@ -209,12 +197,10 @@ def _simulate_chunk(
     chunk: int,
     margin: float,
     band: tuple,
-    buffers: threading.local,
 ):
     """(flips, energy) over chunk `chunk` of the run, read off its own words.
 
     margin bounds |y - delta*s| and band is the quiet band of the noise draws.
-    buffers holds the calling thread's work arrays for the run.
     """
     from scipy.special import ndtri
 
@@ -229,11 +215,8 @@ def _simulate_chunk(
     first_words = _words_at(key, start)
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
-    # x^2 of the chunk, summed once in the order of a chunk-wide sum.  Each
-    # worker allocates room for its largest chunk once and reuses it.
-    if not hasattr(buffers, "squares"):
-        buffers.squares = np.empty(min(_BLOCK_CHUNK, nblocks) * n)
-    squares = buffers.squares[: take * n]
+    # x^2 of the chunk, summed once in the order of a chunk-wide sum.
+    squares = np.empty(take * n)
 
     flips = 0
     for r0 in range(0, take, rows):
@@ -279,13 +262,9 @@ def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimR
     key = np.random.Philox(config.seed).state["state"]["key"]
     margin = _rounding_margin(ops)
     band = _quiet_band((ops.delta - margin) / config.sigma)
-    buffers = threading.local()
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), nchunks)) as pool:
         results = list(
-            pool.map(
-                lambda c: _simulate_chunk(ops, config, key, c, margin, band, buffers),
-                range(nchunks),
-            )
+            pool.map(lambda c: _simulate_chunk(ops, config, key, c, margin, band), range(nchunks))
         )
 
     # A plain left fold in chunk order; sum() compensates floats on Python 3.12+.

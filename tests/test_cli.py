@@ -205,9 +205,38 @@ def test_module_entry_point():
 
 
 def test_usage_error_exit_code(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["capacity", "--grid", "0.7:1.0:4"])  # missing --taps
-    assert exc.value.code == 1
+    # A missing --taps, and --seed on the commands that draw no random numbers.
+    for argv in (
+        ["capacity", "--grid", "0.7:1.0:4"],
+        ["capacity", "--taps", "1,0.2", "--grid", "0.8", "--seed", "1"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.8", "--seed", "1"],
+        ["energy", "--taps", "1,0.2", "--n", "6", "--seed", "1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: isicap") and "error:" in err
+
+
+def test_header_echoes_seed_only_for_validate(capsys):
+    for argv in (
+        ["capacity", "--taps", "1,0.2", "--grid", "0.8"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.8"],
+        ["energy", "--taps", "1,0.2", "--n", "6"],
+    ):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out.startswith(f"# isicap {argv[0]} taps=1.0,0.2 delta=0.3 n=")
+        assert "seed=" not in out.splitlines()[0]
+    _, out, _ = run_cli(
+        capsys, "validate", "--taps", "1,0.2", "--sigma", "0.1", "--symbols", "1200",
+        "--seed", "7",
+    )
+    assert out.splitlines()[0] == (
+        "# isicap validate taps=1.0,0.2 delta=0.3 n=12 seed=7 sigma=0.1 alpha=0.5"
+    )
 
 
 def test_bad_grid_rejected(capsys):

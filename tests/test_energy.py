@@ -404,7 +404,7 @@ def test_profile_energy_equals_single_pattern_solve(taps, n):
     prof = enumerate_profile(ops)
     pats = _qp_orbit_patterns(ops)
     for s in pats:
-        assert energy(ops, s).energy == prof.energy_of(s)
+        assert energy(ops, s).energy == prof.energies[code_from_pattern(s)]
 
 
 def test_negative_set_start_takes_one_solve(monkeypatch):
@@ -543,21 +543,22 @@ def test_qp_property_against_nnls(case, shift):
         assert moved.energy == pytest.approx(sol.energy, rel=1e-12)
 
 
-def test_pattern_validation(two_tap_ops, two_tap_profile):
-    with pytest.raises(ValueError):
-        solve_energy_qp(two_tap_ops, np.zeros(12))
-    with pytest.raises(ValueError):
-        analytic_energy(two_tap_ops, np.ones(5))
+def test_pattern_validation(two_tap_ops):
+    # solve_energy_qp is another name for energy, not a second solver.
+    assert solve_energy_qp is energy
     for bad in (np.zeros(12), np.ones(3)):
         with pytest.raises(ValueError):
-            two_tap_profile.energy_of(bad)
+            energy(two_tap_ops, bad)
+    with pytest.raises(ValueError):
+        analytic_energy(two_tap_ops, np.ones(5))
 
 
 def test_two_tap_profile_facts(two_tap_profile):
     # Minimizers are the two constant patterns; floor is delta^2*N/(1+eps)^2.
     n = 12
     assert two_tap_profile.min_count == 2
-    assert sorted(two_tap_profile.minimizer_codes()) == [0, (1 << n) - 1]
+    tied = two_tap_profile.energies <= two_tap_profile.e_min * (1 + MIN_TIE_TOL)
+    assert np.flatnonzero(tied).tolist() == [0, (1 << n) - 1]
     assert two_tap_profile.e_min / (n * DELTA**2) == pytest.approx(25 / 36, abs=1e-12)
     assert two_tap_profile.e_max >= two_tap_profile.e_mean >= two_tap_profile.e_min
     assert two_tap_profile.n == n
@@ -566,7 +567,7 @@ def test_two_tap_profile_facts(two_tap_profile):
 def test_profile_energy_of_matches_array(two_tap_profile, two_tap_ops):
     s = pattern_from_code(1234, 12)
     direct = analytic_energy(two_tap_ops, s).energy
-    assert two_tap_profile.energy_of(s) == pytest.approx(direct, rel=1e-12)
+    assert two_tap_profile.energies[code_from_pattern(s)] == pytest.approx(direct, rel=1e-12)
 
 
 def test_mean_matches_trace(two_tap_ops, two_tap_profile):
@@ -723,9 +724,9 @@ def test_orbit_profile_matches_per_code_enumeration(taps, n):
     brute = np.array([energy(ops, pattern_from_code(c, n)).energy for c in range(1 << n)])
     prof = enumerate_profile(ops)
     tied = np.flatnonzero(brute <= brute.min() * (1 + MIN_TIE_TOL))
-    np.testing.assert_array_equal(prof.minimizer_codes(), tied)
-    # The minimizers come from the tied orbits, not from the 2^N energies.
-    assert "energies" not in prof.__dict__
+    np.testing.assert_array_equal(
+        np.flatnonzero(prof.energies <= prof.e_min * (1 + MIN_TIE_TOL)), tied
+    )
     assert prof.n == n
     np.testing.assert_allclose(prof.energies, brute, rtol=1e-12)
     assert prof.e_min == pytest.approx(brute.min(), rel=1e-12)
@@ -734,5 +735,4 @@ def test_orbit_profile_matches_per_code_enumeration(taps, n):
     assert prof.min_count == tied.size
     # e_mean is the correctly rounded mean of the expanded energies.
     assert prof.e_mean == math.fsum(prof.energies.tolist()) / (1 << n)
-    for code in range(0, 1 << n, 3):
-        assert prof.energy_of(pattern_from_code(code, n)) == prof.energies[code]
+    np.testing.assert_array_equal(prof.energies[prof.orbit_codes], prof.orbit_energies)

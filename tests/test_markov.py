@@ -15,7 +15,6 @@ from isicap import (
     SingularChannel,
     achievable_rate,
     achievable_rate_curve,
-    achievable_rate_detail,
     build_operators,
     correlation,
     entropy_rate_bits,
@@ -207,7 +206,7 @@ def test_delta_squared_scaling(spec, c, p_over_d2, rho):
 def test_spectral_null_rejected(taps):
     spec = ChannelSpec(taps, DELTA, 12)
     with pytest.raises(SingularChannel):
-        achievable_rate_detail(spec, DELTA**2)
+        achievable_rate_curve(spec, [DELTA**2])
     with pytest.raises(SingularChannel):
         power_asymptotic(spec, MarkovScheme(0.7))
 
@@ -223,7 +222,7 @@ def test_achievable_rate_matches_closed_form():
 
 
 def test_achievable_rate_saturates():
-    rate, alpha = achievable_rate_detail(TWO_TAP, pbar_two_tap(0.2, DELTA))
+    [(rate, alpha)] = achievable_rate_curve(TWO_TAP, [pbar_two_tap(0.2, DELTA)])
     assert rate == 1.0 and alpha == 0.5
     assert achievable_rate(TWO_TAP, 10.0) == 1.0
 
@@ -236,7 +235,7 @@ def test_achievable_rate_infeasible():
 def test_alpha_star_on_correlated_branch():
     # Positive second tap: cheaper power comes from persistent signs.
     p = 0.8 * pbar_two_tap(0.2, DELTA)
-    rate, alpha = achievable_rate_detail(TWO_TAP, p)
+    [(rate, alpha)] = achievable_rate_curve(TWO_TAP, [p])
     assert alpha > 0.5
     assert 0.0 < rate < 1.0
 
@@ -301,7 +300,7 @@ def test_two_tap_closed_form_power_accepts_alpha_ends_and_rejects_bad_epsilon():
 @pytest.mark.parametrize("power", [math.nan, math.inf, -math.inf])
 def test_non_finite_power_rejected(power, model):
     with pytest.raises(ValueError):
-        achievable_rate_detail(TWO_TAP, power, power_model=model)
+        achievable_rate_curve(TWO_TAP, [power], power_model=model)
 
 
 # The scalar power formulas and per-point bisection that achievable_rate_curve

