@@ -105,11 +105,6 @@ class ChannelOperators:
     def delta(self):
         return self.spec.delta
 
-    @property
-    def fft_col(self):
-        """DFT of the first circulant column; conj of dft_gains for real taps."""
-        return np.conj(self.dft_gains)
-
     def gram_inverse(self):
         """Materialize G densely: N x N floats, gathered from the generator."""
         idx = (np.arange(self.n)[:, None] - np.arange(self.n)[None, :]) % self.n
@@ -177,14 +172,14 @@ def _check_len(ops: ChannelOperators, v) -> np.ndarray:
 def apply_channel(ops: ChannelOperators, x) -> np.ndarray:
     """y = M_h x (circular convolution).  Works on a vector or a batch of rows."""
     x = _check_len(ops, x)
-    half = ops.fft_col[: ops.n // 2 + 1]
+    half = np.conj(ops.dft_gains[: ops.n // 2 + 1])
     return np.fft.irfft(np.fft.rfft(x, axis=-1) * half, n=ops.n, axis=-1)
 
 
 def apply_inverse(ops: ChannelOperators, y) -> np.ndarray:
     """x = M_h^{-1} y via spectral division.  Works on a vector or a batch."""
     y = _check_len(ops, y)
-    half = ops.fft_col[: ops.n // 2 + 1]
+    half = np.conj(ops.dft_gains[: ops.n // 2 + 1])
     return np.fft.irfft(np.fft.rfft(y, axis=-1) / half, n=ops.n, axis=-1)
 
 

@@ -35,10 +35,15 @@ EXIT_CONFIG = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
-# Channels the figures subcommand reproduces.
+# Channels the figures subcommand reproduces, at the published block length.
 _FIG3_EPSILONS = (0.2, 0.8)
 _FIG4_TAPS = (-0.3, 1.0, 0.6)
-_FIG_DELTA = 0.3
+_FIG_N = 12
+
+# The delta of capacity, markov and figures.  Every pattern energy scales with
+# delta^2, so their results depend on power only through P/delta^2; delta only
+# sets the unit of gibbs_beta.
+_DELTA = 0.3
 
 # Published abscissas (P/delta^2) for the three-tap figure.
 _FIG4_CAPACITY_X = (
@@ -62,8 +67,6 @@ def _parse_taps(text: str) -> tuple:
         taps = tuple(float(t) for t in text.split(","))
     except ValueError:
         raise ValueError(f"could not parse taps {text!r}") from None
-    if not taps:
-        raise ValueError("taps must be nonempty")
     return taps
 
 
@@ -103,45 +106,39 @@ def _config_lines(cmd: str, spec: ChannelSpec, extra: str = "") -> list:
 
 
 def _gridded_spec(args):
-    """The spec and the (raw power, printed P/delta^2) pairs of --grid, parsed
-    after the taps and before the spec is checked.  The printed value echoes
-    the parsed grid exactly when it was given in normalized units.  A grid
-    value whose conversion overflows is rejected in either unit."""
+    """The spec at delta = _DELTA and the --grid values in P/delta^2, parsed
+    after the taps and before the spec is checked."""
     taps = _parse_taps(args.taps)
     grid = _parse_grid(args.grid)
-    spec = ChannelSpec(taps, args.delta, args.n)
-    d2 = spec.delta**2
-    pairs = [(v, v / d2) if args.raw_units else (v * d2, v) for v in grid]
-    if not np.all(np.isfinite(pairs)):
-        raise ValueError("grid values must give a finite power and P/delta^2")
-    return spec, pairs
+    return ChannelSpec(taps, _DELTA, args.n), grid
 
 
 def cmd_capacity(args):
-    spec, pairs = _gridded_spec(args)
+    spec, grid = _gridded_spec(args)
     ops = build_operators(spec)
-    rows = capacity_curve(ops, [p for p, _ in pairs])
+    rows = capacity_curve(ops, [x * _DELTA**2 for x in grid])
     if all(sol.regime is Regime.INFEASIBLE for _, sol in rows):
         raise InfeasiblePower(
             "every grid point is infeasible (below the minimum-energy floor)"
         )
     lines = _config_lines("capacity", spec)
     lines.append("p_over_delta2,capacity_bits,regime,gibbs_beta")
-    for (_, shown), (_, sol) in zip(pairs, rows):
+    for x, (_, sol) in zip(grid, rows):
         lines.append(
-            f"{_fmt(shown)},{_fmt(sol.entropy_bits_per_use)},"
+            f"{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},"
             f"{sol.regime.name},{_fmt(sol.gibbs_beta)}"
         )
     return lines, EXIT_OK
 
 
 def cmd_markov(args):
-    spec, pairs = _gridded_spec(args)
+    spec, grid = _gridded_spec(args)
     lines = _config_lines("markov", spec, extra=f"power_model={args.power_model}")
     lines.append("p_over_delta2,rate_bits,alpha_star")
-    rows = achievable_rate_curve(spec, [p for p, _ in pairs], power_model=args.power_model)
-    for (_, shown), (rate, alpha) in zip(pairs, rows):
-        lines.append(f"{_fmt(shown)},{_fmt(rate)},{_fmt(alpha)}")
+    powers = [x * _DELTA**2 for x in grid]
+    rows = achievable_rate_curve(spec, powers, power_model=args.power_model)
+    for x, (rate, alpha) in zip(grid, rows):
+        lines.append(f"{_fmt(x)},{_fmt(rate)},{_fmt(alpha)}")
     return lines, EXIT_OK
 
 
@@ -186,16 +183,16 @@ def cmd_validate(args):
     return lines, EXIT_OK if ok else EXIT_VALIDATION
 
 
-def _figure_lines(which: str, block_len: int, rows):
+def _figure_lines(which: str, rows):
     """The CSV lines of one figure.  Each row is one channel: (series label
     suffix, taps, capacity abscissas, Markov abscissas, Markov power model,
     verified), the abscissas in P/delta^2."""
-    lines = [f"# isicap figures {which} delta={_fmt(_FIG_DELTA)} n={block_len}"]
+    lines = [f"# isicap figures {which} delta={_fmt(_DELTA)} n={_FIG_N}"]
     lines.append("series,p_over_delta2,bits,verified")
-    d2 = _FIG_DELTA**2
+    d2 = _DELTA**2
     for suffix, taps, capacity_x, markov_x, power_model, verified in rows:
         flag = "true" if verified else "false"
-        spec = ChannelSpec(taps, _FIG_DELTA, block_len)
+        spec = ChannelSpec(taps, _DELTA, _FIG_N)
         curve = capacity_curve(build_operators(spec), [x * d2 for x in capacity_x])
         for x, (_, sol) in zip(capacity_x, curve):
             lines.append(f"C{suffix},{_fmt(x)},{_fmt(sol.entropy_bits_per_use)},{flag}")
@@ -209,9 +206,9 @@ def cmd_figures(args):
     if args.which == "fig3":
         # Both published series share the 16-point grid spanning the eps=0.2
         # feasible band [pmin, pbar].
-        d2 = _FIG_DELTA**2
-        lo = pmin_two_tap(0.2, _FIG_DELTA) / d2
-        hi = pbar_two_tap(0.2, _FIG_DELTA) / d2
+        d2 = _DELTA**2
+        lo = pmin_two_tap(0.2, _DELTA) / d2
+        hi = pbar_two_tap(0.2, _DELTA) / d2
         grid = np.linspace(lo, hi, 16)
         rows = [
             (f"_eps{_fmt(eps)}", (1.0, eps), grid, grid, "asymptotic", eps == 0.2)
@@ -221,7 +218,7 @@ def cmd_figures(args):
         # The published Markov curve reflects the block-length-12 power, not its
         # large-N limit, so the finite model is used here.
         rows = [("", _FIG4_TAPS, _FIG4_CAPACITY_X, _FIG4_MARKOV_X, "finite", True)]
-    return _figure_lines(args.which, args.n, rows), EXIT_OK
+    return _figure_lines(args.which, rows), EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -233,20 +230,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_channel_flags(p, with_grid: bool):
     p.add_argument("--taps", required=True, help="comma-separated channel taps, e.g. 1,0.2")
-    p.add_argument("--delta", type=float, default=0.3, help="threshold margin (default 0.3)")
-    p.add_argument("--n", type=int, default=12, help="block length (default 12)")
-    p.add_argument("--out", default="", help="output path (default stdout)")
     if with_grid:
         p.add_argument(
-            "--grid",
-            required=True,
-            help="power grid: min:max:count or comma list, in P/delta^2 units",
+            "--grid", required=True, help="power grid in P/delta^2: min:max:count or comma list"
         )
-        p.add_argument(
-            "--raw-units",
-            action="store_true",
-            help="interpret --grid in raw power units instead of P/delta^2",
-        )
+    else:
+        p.add_argument("--delta", type=float, default=0.3, help="threshold margin (default 0.3)")
+    p.add_argument("--n", type=int, default=12, help="block length (default 12)")
+    p.add_argument("--out", default="", help="output path (default stdout)")
 
 
 @functools.cache
@@ -287,7 +278,6 @@ def _parser() -> _Parser:
 
     p = sub.add_parser("figures", help="reference CSV data for the standard channels")
     p.add_argument("which", choices=("fig3", "fig4"))
-    p.add_argument("--n", type=int, default=12, help="block length (default 12)")
     p.add_argument("--out", default="", help="output path (default stdout)")
     return parser
 

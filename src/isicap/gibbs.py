@@ -88,11 +88,11 @@ def _check_n(profile: EnergyProfile, n: int):
         raise ValueError(f"n={n!r} differs from the profile's block length {profile.n}")
 
 
-def _moments(profile: EnergyProfile, betas: np.ndarray, n: int):
+def _moments(profile: EnergyProfile, betas: np.ndarray):
     """ln Z, <E> and Var(E) at each multiplier in betas, as arrays, from one
     pass over the orbits per block of rows with the max exponent factored out;
     row j is the one-row pass at betas[j] bit for bit (see the module notes)."""
-    e = profile.orbit_energies
+    e, n = profile.orbit_energies, profile.n
     rows = max(1, _BLOCK_ELEMENTS // e.size)
     ln_z, mean, var = np.empty(betas.size), np.empty(betas.size), np.empty(betas.size)
     for start in range(0, betas.size, rows):
@@ -127,7 +127,7 @@ def log_partition(profile: EnergyProfile, beta: float, n: int) -> float:
     beta = _check_beta(beta)
     if math.isinf(beta):
         return -beta
-    return float(_moments(profile, np.array([beta]), n)[0][0])
+    return float(_moments(profile, np.array([beta]))[0][0])
 
 
 def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
@@ -138,16 +138,16 @@ def avg_energy(profile: EnergyProfile, beta: float, n: int) -> float:
     beta = _check_beta(beta)
     if math.isinf(beta):
         return profile.e_min if beta > 0 else profile.e_max
-    return float(_moments(profile, np.array([beta]), n)[1][0])
+    return float(_moments(profile, np.array([beta]))[1][0])
 
 
-def _classify(profile: EnergyProfile, power: float, n: int):
+def _classify(profile: EnergyProfile, power: float):
     """The solution at per-use power P outside the interior, None inside it;
     raises InfeasiblePower below the floor."""
     if not math.isfinite(power):
         raise ValueError(f"power must be finite, got {power!r}")
+    n, e_min, e_mean = profile.n, profile.e_min, profile.e_mean
     np_budget = n * power
-    e_min, e_mean = profile.e_min, profile.e_mean
 
     if np_budget < e_min * (1 - BOUNDARY_TOL):
         raise InfeasiblePower(
@@ -175,7 +175,7 @@ def _classify(profile: EnergyProfile, power: float, n: int):
     return None
 
 
-def _solve_interior(profile: EnergyProfile, powers: list, n: int) -> list:
+def _solve_interior(profile: EnergyProfile, powers: list) -> list:
     """Interior solutions at each power, all Newton iterations run as one array.
 
     <E>(beta) falls strictly from e_mean at beta = 0 toward e_min, and each
@@ -184,7 +184,7 @@ def _solve_interior(profile: EnergyProfile, powers: list, n: int) -> list:
     bisection or doubling fallback then follow the scalar expressions
     elementwise, so each point's iterates are those of a loop over it alone.
     """
-    count = len(powers)
+    count, n = len(powers), profile.n
     budget = n * np.array(powers, dtype=float)
     beta, lo, hi = np.zeros(count), np.zeros(count), np.full(count, math.inf)
     ln_z, mean, residual = np.empty(count), np.empty(count), np.empty(count)
@@ -195,7 +195,7 @@ def _solve_interior(profile: EnergyProfile, powers: list, n: int) -> list:
             break
         b, p = beta[live], budget[live]
         distinct, inverse = np.unique(b, return_inverse=True)
-        lz, mu, var = (x[inverse] for x in _moments(profile, distinct, n))
+        lz, mu, var = (x[inverse] for x in _moments(profile, distinct))
         res = np.abs(mu - p) / p
         done = res <= BETA_MATCH_TOL
         fin = live[done]
@@ -239,8 +239,8 @@ def _solve_interior(profile: EnergyProfile, powers: list, n: int) -> list:
 def solve_beta(profile: EnergyProfile, power: float, n: int) -> GibbsSolution:
     """Classify the regime at per-use power P and solve for beta if interior."""
     _check_n(profile, n)
-    sol = _classify(profile, power, n)
-    return sol if sol is not None else _solve_interior(profile, [power], n)[0]
+    sol = _classify(profile, power)
+    return sol if sol is not None else _solve_interior(profile, [power])[0]
 
 
 def capacity(ops: ChannelOperators, power: float) -> GibbsSolution:
@@ -264,7 +264,7 @@ def capacity_curve(ops: ChannelOperators, power_grid) -> list:
     sols, interior = [], []
     for i, p in enumerate(power_grid):
         try:
-            sol = _classify(profile, p, ops.n)
+            sol = _classify(profile, p)
         except InfeasiblePower:
             sol = GibbsSolution(
                 gibbs_beta=math.inf,
@@ -276,7 +276,7 @@ def capacity_curve(ops: ChannelOperators, power_grid) -> list:
         if sol is None:
             interior.append(i)
         sols.append(sol)
-    solved = _solve_interior(profile, [power_grid[i] for i in interior], ops.n)
+    solved = _solve_interior(profile, [power_grid[i] for i in interior])
     for i, sol in zip(interior, solved):
         sols[i] = sol
     return list(zip(power_grid, sols))

@@ -205,12 +205,19 @@ def test_module_entry_point():
 
 
 def test_usage_error_exit_code(capsys):
-    # A missing --taps, and --seed on the commands that draw no random numbers.
+    # A missing --taps; --seed on the commands that draw no random numbers;
+    # --delta and --raw-units on the commands whose grid is in P/delta^2, whose
+    # results do not depend on delta; and --n on figures, which is N = 12.
     for argv in (
         ["capacity", "--grid", "0.7:1.0:4"],
         ["capacity", "--taps", "1,0.2", "--grid", "0.8", "--seed", "1"],
         ["markov", "--taps", "1,0.2", "--grid", "0.8", "--seed", "1"],
         ["energy", "--taps", "1,0.2", "--n", "6", "--seed", "1"],
+        ["capacity", "--taps", "1,0.2", "--grid", "0.8", "--delta", "0.5"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.8", "--delta", "0.5"],
+        ["capacity", "--taps", "1,0.2", "--grid", "0.8", "--raw-units"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.8", "--raw-units"],
+        ["figures", "fig4", "--n", "16"],
     ):
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
@@ -270,54 +277,15 @@ def test_empty_grid_rejected(capsys, cmd):
     assert "grid must be nonempty" in err
 
 
-@pytest.mark.parametrize("cmd", ["capacity", "markov", "energy"])
+@pytest.mark.parametrize("cmd", ["energy"])
 @pytest.mark.parametrize("delta", ["1e200", "1e-170"])
 def test_delta_square_out_of_range_rejected(capsys, cmd, delta):
-    # 1e200 squared overflows; 1e-170 squared underflows to 0, which once
-    # gave a SATURATED capacity row with exit 0.
-    grid = ("--n", "6") if cmd == "energy" else ("--grid", "0.8")
-    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", "--delta", delta, *grid)
+    # 1e200 squared overflows; 1e-170 squared underflows to 0.  Only energy
+    # is listed, as capacity and markov take no --delta.
+    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", "--delta", delta, "--n", "6")
     assert code == cli.EXIT_CONFIG
     assert out == ""
     assert err.startswith("isicap: delta^2 must be a normal float")
-
-
-def test_capacity_invariant_under_delta_scale(capsys):
-    # In P/delta^2 units the capacity does not depend on delta.
-    def bits(delta):
-        _, out, _ = run_cli(
-            capsys, "capacity", "--taps", "1,0.2", "--delta", delta, "--grid", "0.8"
-        )
-        return float(parse_csv(out)[1][0][1])
-
-    ref = bits("0.3")
-    assert ref == pytest.approx(0.6678651031881762, rel=1e-12)
-    for delta in ("1e-8", "1e8"):
-        assert bits(delta) == pytest.approx(ref, rel=1e-12)
-
-
-def test_raw_units_flag(capsys):
-    _, out_norm, _ = run_cli(capsys, "markov", "--taps", "1,0.2", "--grid", "0.9")
-    _, out_raw, _ = run_cli(
-        capsys, "markov", "--taps", "1,0.2", "--grid", "0.081", "--raw-units"
-    )
-    rate_norm = float(parse_csv(out_norm)[1][0][1])
-    rate_raw = float(parse_csv(out_raw)[1][0][1])
-    assert rate_raw == pytest.approx(rate_norm, abs=1e-9)
-    assert float(parse_csv(out_raw)[1][0][0]) == pytest.approx(0.9, rel=1e-12)
-
-
-@pytest.mark.parametrize("cmd", ["capacity", "markov"])
-@pytest.mark.parametrize(
-    "flags", [("--grid=0.5,1e308", "--raw-units"), ("--grid=1e307", "--delta", "10")]
-)
-def test_grid_conversion_overflow_rejected(capsys, cmd, flags):
-    # In raw units P/delta^2 overflows; in P/delta^2 units the power does.
-    # Either once printed inf and exited 0.
-    code, out, err = run_cli(capsys, cmd, "--taps", "1,0.2", *flags)
-    assert code == cli.EXIT_CONFIG
-    assert out == ""
-    assert "finite" in err
 
 
 def test_markov_finite_power_at_large_n(capsys):

@@ -16,6 +16,7 @@ from isicap import (
     achievable_rate,
     achievable_rate_curve,
     build_operators,
+    capacity_curve,
     correlation,
     entropy_rate_bits,
     enumerate_profile,
@@ -200,6 +201,26 @@ def test_delta_squared_scaling(spec, c, p_over_d2, rho):
     )
     p = p_over_d2 * DELTA**2
     assert achievable_rate(scaled, p * c2) == pytest.approx(achievable_rate(spec, p), abs=1e-9)
+    # So the Gibbs capacity depends on power only through P/delta^2, and
+    # gibbs_beta scales as 1/delta^2.
+    ((_, sol),) = capacity_curve(build_operators(spec), [p])
+    ((_, scaled_sol),) = capacity_curve(build_operators(scaled), [p * c2])
+    assert scaled_sol.entropy_bits_per_use == pytest.approx(sol.entropy_bits_per_use, rel=1e-12)
+    assert scaled_sol.gibbs_beta * c2 == pytest.approx(sol.gibbs_beta, rel=1e-12)
+
+
+def test_capacity_invariant_at_extreme_delta():
+    # The scaling holds down to delta^2 = 1e-16 and up to 1e16.
+    def solve(delta):
+        ops = build_operators(ChannelSpec(TWO_TAP.taps, delta, TWO_TAP.block_len))
+        return capacity_curve(ops, [0.8 * delta**2])[0][1]
+
+    ref = solve(DELTA)
+    assert ref.entropy_bits_per_use == pytest.approx(0.6678651031881762, rel=1e-12)
+    for delta in (1e-8, 1e8):
+        sol = solve(delta)
+        assert sol.entropy_bits_per_use == pytest.approx(ref.entropy_bits_per_use, rel=1e-12)
+        assert sol.gibbs_beta * delta**2 == pytest.approx(ref.gibbs_beta * DELTA**2, rel=1e-12)
 
 
 @pytest.mark.parametrize("taps", [(1.0, -1.0), (1.0, 1.0), (1.0, 0.9999999999)])
