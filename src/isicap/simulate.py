@@ -18,10 +18,19 @@ counter-based, so a slice of rows r0..r1 reads its own words at fixed
 offsets: `first` at +r0, the steps at +take + r0*(N-1) and the noise at
 +take*N + r0*N.  Each chunk is an independent job on a pool of worker
 threads, one per usable CPU, and works in slices of about _SLICE_SIZE
-samples, so that a slice's words, signs, FFT actions and noise stay in
-cache.  Jobs return their flip count and their chunk's energy, and the
-energies are added in chunk order, so the report is the same bit for bit
-whatever the number of workers.
+samples, so that a slice's words, signs, spectra and noise stay in cache.
+
+The transmit power comes from the sign spectrum.  Zero-forcing sends
+x = delta * M^{-1} s, and by Parseval a block's energy sum_n x_n^2 is
+(delta^2/N) sum_k |S_k|^2 / |f_k|^2, read off the rfft of its signs with
+each bin weighted once per DFT bin it stands for.  Each row is reduced on
+its own (np.vecdot), so a block's energy does not depend on the slice it
+falls in.  x itself is formed only on the blocks that fall back (below) and
+on the run's partial last block, whose counted samples are summed as x^2:
+the power is over the first num_symbols positions.  A chunk sums its
+blocks' energies in block order, jobs return their flip count and their
+chunk's energy, and the energies are added in chunk order, so the report is
+the same bit for bit whatever the number of workers.
 
 Most noise draws cannot change a decision, and those skip ndtri.  The
 decision on a sample is the sign of y + sigma*z, where y = (M x)_n is the
@@ -48,9 +57,10 @@ draw in the band can change a decision.
 Only the draws outside the band go through ndtri, and each is decided by
 the sign of v = delta*s_n + sigma*z_n.  When |v| > 2*margin, y + sigma*z
 lies within margin of v and has its sign.  A tail with |v| <= 2*margin
-takes the y of its block from apply_channel, on those blocks only, and is
-decided on y + sigma*z exactly as in the plain simulation.  So the report is
-bit for bit the one that adds noise to every sample of y.  When sigma is
+takes the x of its block from apply_inverse and its y from apply_channel,
+on those blocks only, and is decided on y + sigma*z exactly as in the plain
+simulation.  So the report is bit for bit the one that adds noise to every
+sample of y.  When sigma is
 about 1e9 times delta or more, or margin reaches delta (cond near
 1e9/log2(2N), a nearly singular channel), the band is empty and every draw
 goes through ndtri; with margin >= delta every tail is near and its block
@@ -190,6 +200,37 @@ def _rounding_margin(ops: ChannelOperators) -> float:
     return ops.delta * cond * math.log2(2 * ops.n) * _ROUNDING_MARGIN
 
 
+def _bin_weights(ops: ChannelOperators) -> np.ndarray:
+    """Weights on the squared real and imaginary parts of a block's rfft that
+    sum to the block's energy sum_n x_n^2, x = delta * M^{-1} s.
+
+    By Parseval that energy is (delta^2/N) sum_k |S_k|^2 / |f_k|^2 over all N
+    bins.  A real block's bins k and N - k are conjugate, so each rfft bin
+    stands for both, save bin 0 and, for even N, bin N/2.
+    """
+    n = ops.n
+    weight = ops.spec_weight[: n // 2 + 1] * 2.0
+    weight[0] = ops.spec_weight[0]
+    if n % 2 == 0:
+        weight[-1] = ops.spec_weight[n // 2]
+    weight *= ops.delta * ops.delta / n
+    return np.repeat(weight, 2)
+
+
+def _tails(words: np.ndarray, band: tuple) -> np.ndarray:
+    """Indices of the noise words whose draw k = w >> 11 lies outside the band.
+
+    k lies in [lo, hi] exactly when w lies in [lo << 11, (hi << 11) | 0x7FF],
+    which one unsigned compare tests: w - (lo << 11), wrapping, is at most
+    the interval's width.  An empty band (lo > hi) makes every draw a tail.
+    """
+    lo, hi = band
+    if lo > hi:
+        return np.arange(words.size)
+    width = np.uint64(((hi - lo) << 11) | 0x7FF)
+    return np.flatnonzero(words - np.uint64(lo << 11) > width)
+
+
 def _simulate_chunk(
     ops: ChannelOperators,
     config: NoisySimConfig,
@@ -206,7 +247,6 @@ def _simulate_chunk(
 
     n = ops.n
     sigma = config.sigma
-    lo, hi = band
     rows = max(1, _SLICE_SIZE // n)
     nblocks = -(-config.num_symbols // n)
     take = min(_BLOCK_CHUNK, nblocks - chunk * _BLOCK_CHUNK)
@@ -215,8 +255,8 @@ def _simulate_chunk(
     first_words = _words_at(key, start)
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
-    # x^2 of the chunk, summed once in the order of a chunk-wide sum.
-    squares = np.empty(take * n)
+    bin_weights = _bin_weights(ops)
+    energies = np.empty(take)
 
     flips = 0
     for r0 in range(0, take, rows):
@@ -228,22 +268,26 @@ def _simulate_chunk(
         )
         signs = positive * 2.0
         signs -= 1.0
-        x = apply_inverse(ops, signs)
-        x *= ops.delta
-        np.square(x, out=squares[r0 * n : r1 * n].reshape(x.shape))
-        k = (noise_words.random_raw((r1 - r0) * n) >> _WORD_SHIFT).view(np.int64)
-        k = k[: min(count, r1 * n) - r0 * n]
-        tails = np.flatnonzero((k < lo) | (k > hi))
+        spectrum = np.fft.rfft(signs, axis=-1).view(np.float64)
+        np.square(spectrum, out=spectrum)
+        np.vecdot(spectrum, bin_weights, out=energies[r0:r1])
+        words = noise_words.random_raw((r1 - r0) * n)[: min(count, r1 * n) - r0 * n]
+        tails = _tails(words, band)
         sent = positive.ravel()[tails]
-        noise = sigma * ndtri((k[tails] + 0.5) * 2.0**-53)
+        noise = sigma * ndtri(((words[tails] >> _WORD_SHIFT) + 0.5) * 2.0**-53)
         v = np.where(sent, ops.delta, -ops.delta) + noise
         near = np.flatnonzero(np.abs(v) <= 2.0 * margin)
         if near.size:
             block, col = np.divmod(tails[near], n)
             fallback, at = np.unique(block, return_inverse=True)
-            v[near] = apply_channel(ops, x[fallback])[at, col] + noise[near]
+            x = ops.delta * apply_inverse(ops, signs[fallback])
+            v[near] = apply_channel(ops, x)[at, col] + noise[near]
         flips += np.count_nonzero((v >= 0) != sent)
-    return flips, float(np.sum(squares[:count]))
+    if count < take * n:
+        # The run's partial last block: power over its counted samples only.
+        x = ops.delta * apply_inverse(ops, signs[-1])
+        energies[-1] = np.sum(np.square(x[: count - (take - 1) * n]))
+    return flips, float(np.sum(energies))
 
 
 def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimReport:

@@ -29,6 +29,7 @@ from isicap.simulate import (
     _BLOCK_CHUNK,
     _positive_signs,
     _quiet_band,
+    _tails,
     _words_at,
 )
 
@@ -182,29 +183,44 @@ def test_markov_sign_stream_statistics():
     assert abs(signs[:, 0].mean()) < 0.05
 
 
-def reference_simulation(ops, config):
-    """The simulator in its plain form: chunk-wide signs and FFT actions, and
-    ndtri applied to every noise draw before quantizing."""
+def _run_chunks(ops, config):
+    """The run's chunks in their plain chunk-wide form, in order: each chunk's
+    signs b (take x N), noise lattice draws k (take x N) and counted samples."""
     n = ops.n
     nblocks = -(-config.num_symbols // n)
     rng = np.random.Generator(np.random.Philox(config.seed))
-    flips = 0
-    energy = 0.0
     remaining = config.num_symbols
-    done = 0
-    while done < nblocks:
+    for done in range(0, nblocks, _BLOCK_CHUNK):
         take = min(_BLOCK_CHUNK, nblocks - done)
         b = _markov_signs(rng, take, n, config.alpha)
-        x = ops.delta * apply_inverse(ops, b)
         k = rng.integers(0, 1 << 53, size=(take, n), dtype=np.int64)
+        count = min(remaining, take * n)
+        yield b, k, count
+        remaining -= count
+
+
+def reference_simulation(ops, config):
+    """The simulator in its plain form: chunk-wide signs and FFT actions, and
+    ndtri applied to every noise draw before quantizing.  Each full block's
+    energy is the Parseval sum over the rfft of its signs; the partial last
+    block's is the sum of x^2 over its counted samples."""
+    n = ops.n
+    half = ops.spec_weight[: n // 2 + 1]
+    mirrored = np.arange(half.size) * 2 % n != 0  # bins k with N - k != k
+    weight = np.where(mirrored, 2.0 * half, half) * (ops.delta * ops.delta / n)
+    flips = 0
+    energy = 0.0
+    for b, k, count in _run_chunks(ops, config):
+        x = ops.delta * apply_inverse(ops, b)
         noise = config.sigma * ndtri((k + 0.5) * 2.0**-53)
         decided = quantize(apply_channel(ops, x) + noise)
         disagreements = (decided != b).astype(np.int64)
-        count = min(remaining, take * n)
         flips += int(disagreements.ravel()[:count].sum())
-        energy += float(np.sum(x.ravel()[:count] ** 2))
-        remaining -= count
-        done += take
+        energies = np.vecdot(np.fft.rfft(b).view(np.float64) ** 2, np.repeat(weight, 2))
+        full, rest = divmod(count, n)
+        if rest:
+            energies[full] = np.sum(x[full, :rest] ** 2)
+        energy += float(np.sum(energies))
     p_hat = flips / config.num_symbols
     return SimReport(
         empirical_flip_rate=p_hat,
@@ -238,15 +254,17 @@ def test_matches_reference_loop(taps, n, symbols, sigma, alpha):
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
 
 
-def _spy_on_channel_action(monkeypatch):
-    """Record the number of blocks each simulator call to apply_channel gets."""
+def _spy_on(monkeypatch, action):
+    """Record the number of blocks each simulator call to `action` (the name
+    of a channel action) gets."""
     blocks = []
+    apply = getattr(simulate, action)
 
-    def spy(ops, x):
-        blocks.append(x.shape[0])
-        return apply_channel(ops, x)
+    def spy(ops, v):
+        blocks.append(v.shape[0] if v.ndim == 2 else 1)
+        return apply(ops, v)
 
-    monkeypatch.setattr(simulate, "apply_channel", spy)
+    monkeypatch.setattr(simulate, action, spy)
     return blocks
 
 
@@ -269,7 +287,7 @@ def test_near_tails_fall_back_to_channel_action(monkeypatch, taps, n, symbols, s
     # blocks take y from the channel action; the others are decided on delta*s.
     ops = build_operators(ChannelSpec(taps, 0.3, n))
     cfg = NoisySimConfig(sigma=sigma, num_symbols=symbols, seed=19, alpha=0.6)
-    blocks = _spy_on_channel_action(monkeypatch)
+    blocks = _spy_on(monkeypatch, "apply_channel")
     _margin_at(monkeypatch, ops, 0.1)
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
     assert 0 < sum(blocks) < -(-symbols // n)
@@ -281,14 +299,14 @@ def test_margin_above_delta_empties_the_band(monkeypatch, taps, n):
     _margin_at(monkeypatch, ops, 1.5)
     lo, hi = _quiet_band((ops.delta - simulate._rounding_margin(ops)) / 0.1)
     assert lo > hi
-    blocks = _spy_on_channel_action(monkeypatch)
+    blocks = _spy_on(monkeypatch, "apply_channel")
     cfg = NoisySimConfig(sigma=0.1, num_symbols=n * 200 + 5, seed=29, alpha=0.6)
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
     assert sum(blocks) > 0
 
 
 def test_normal_run_never_applies_the_channel(monkeypatch, two_tap_ops):
-    blocks = _spy_on_channel_action(monkeypatch)
+    blocks = _spy_on(monkeypatch, "apply_channel")
     cfg = NoisySimConfig(sigma=0.12, num_symbols=50_003, seed=17, alpha=0.6)
     assert simulate_zero_forcing(two_tap_ops, cfg) == reference_simulation(two_tap_ops, cfg)
     assert blocks == []
@@ -309,6 +327,33 @@ def test_worker_count_leaves_report_unchanged(monkeypatch, workers):
     finally:
         sys.setswitchinterval(interval)
     assert report == reference_simulation(ops, cfg)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize(
+    "taps, n, symbols",
+    [
+        ((0.7,), 1, 3 * _BLOCK_CHUNK + 7),
+        ((1.0, 0.2), 12, _BLOCK_CHUNK * 12 + 600),
+        ((1.0, 0.2), 12, 5_003),
+        ((1.0, 0.8), 13, 2 * _BLOCK_CHUNK * 13 + 13 * 40 + 6),
+        ((-0.3, 1.0, 0.6), 256, 256 * 300),
+        ((-0.3, 1.0, 0.6), 256, 256 * 300 + 17),
+    ],
+)
+def test_power_is_the_sum_of_x_squared(monkeypatch, taps, n, symbols, alpha):
+    # The Parseval energies of the sign spectra add up to sum (delta M^{-1} s)^2
+    # over the counted samples.  x is formed only for a partial last block.
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    cfg = NoisySimConfig(sigma=0.1, num_symbols=symbols, seed=37, alpha=alpha)
+    blocks = _spy_on(monkeypatch, "apply_inverse")
+    report = simulate_zero_forcing(ops, cfg)
+    energy = 0.0
+    for b, _, count in _run_chunks(ops, cfg):
+        x = ops.delta * apply_inverse(ops, b)
+        energy += math.fsum(x.ravel()[:count] ** 2)
+    assert report.measured_power_per_use == pytest.approx(energy / symbols, rel=1e-14, abs=0)
+    assert blocks == ([1] if symbols % n else [])
 
 
 def _chunk_start(chunk, n):
@@ -376,6 +421,22 @@ def test_quiet_band_edges(x):
 def test_quiet_band_empty_at_zero():
     lo, hi = _quiet_band(0.0)
     assert lo > hi
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-3, 3.0, 1e9])
+def test_tails_at_the_band_edges(x):
+    # x = 0 empties the band; x = 1e9 (sigma tiny) puts its lower edge at 0.
+    lo, hi = _quiet_band(x)
+    assert (lo == 0) == (x == 1e9)
+    low, high = lo << 11, (hi << 11) | 0x7FF
+    edges = [low - 1, low, low + 1, high - 1, high, high + 1, 0, (1 << 64) - 1]
+    words = np.array([w % (1 << 64) for w in edges], dtype=np.uint64)
+    k = (words >> np.uint64(11)).astype(object)
+    expected = [i for i, ki in enumerate(k) if ki < lo or ki > hi]
+    assert _tails(words, (lo, hi)).tolist() == expected
+    # Just off each edge is a tail, and so is word 0 unless the band starts at 0.
+    if lo <= hi:
+        assert expected == ([0, 5, 7] if lo == 0 else [0, 5, 6, 7])
 
 
 def test_import_leaves_scipy_unloaded():
