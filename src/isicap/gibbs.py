@@ -46,7 +46,8 @@ from .channel import ChannelOperators
 from .energy import EnergyProfile, enumerate_profile
 from .exceptions import InfeasiblePower, NoConvergence
 
-# Relative tolerance deciding the exact-floor and infeasible classifications.
+# Relative tolerance deciding the exact-floor and infeasible classifications
+# (also the Markov rate's floor in markov.achievable_rate_curve).
 BOUNDARY_TOL = 1e-9
 
 # The interior solve stops when <E> matches N*P within this relative tolerance.

@@ -44,6 +44,7 @@ from .channel import (
     build_operators,
     frequency_response,
 )
+from .gibbs import BOUNDARY_TOL
 from .spectral import inverse_spectrum_coeffs, pbar_two_tap, pmin_two_tap
 
 _ALPHA_BISECT_TOL = 1e-10
@@ -222,7 +223,8 @@ def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asympto
     model raises SingularChannel where its power is unbounded: a spectral
     null anywhere on the unit circle, or at a DFT bin of length N.  The
     power model is built once, and every budget and both branches are
-    bisected together.
+    bisected together.  As in the Gibbs layer, a budget within BOUNDARY_TOL
+    (relative) under the least power of any alpha is that floor.
     """
     powers = list(powers)
     for power in powers:
@@ -233,6 +235,11 @@ def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asympto
     power_of, terms = _power_evaluator(spec, power_model)
     budgets = np.array(powers, dtype=float)
     at_half, at_one, at_zero = power_of(np.array([0.0, 1.0, -1.0])).tolist()
+    # A power given as P/delta^2 times delta^2 can round one ulp under the
+    # least power of any alpha.  On a flat channel that floor is also
+    # saturation, so the ulp would read rate 0 where the floor reads 1.
+    floor = min(at_half, at_one, at_zero)
+    budgets = np.where(budgets >= floor * (1 - BOUNDARY_TOL), np.maximum(budgets, floor), budgets)
 
     # H2 falls off symmetrically away from 1/2, so search each branch for the
     # feasible alpha closest to 1/2; negative-tap channels can prefer the

@@ -33,6 +33,7 @@ from isicap import (
     rate_two_tap_closed_form,
 )
 import isicap.markov as markov
+from isicap.gibbs import BOUNDARY_TOL
 from tests.reference_data import THREE_TAP_MARKOV
 from tests.test_channel import circulant_matrix
 
@@ -190,15 +191,13 @@ def test_power_finite_n_converges_to_asymptotic(spec, rho):
     st.floats(-0.95, 0.95),
     st.floats(0.05, 0.95),
 )
+# On the pure delay the Markov power is delta^2 for every alpha, so the rate
+# steps from 0 to 1 there, and 0.09 * c^2 lies one ulp under (0.3 * c)^2.
+@example(ChannelSpec((0.0, 1.0), DELTA, 6), 1.671875, 1.0, 0.0, 0.5)
 def test_delta_squared_scaling(spec, c, p_over_d2, rho, t):
     scaled = ChannelSpec(spec.taps, spec.delta * c, spec.block_len)
     c2 = c * c
     profile = enumerate_profile(build_operators(spec))
-    # Flat gains (a pure delay) give every pattern one energy and no interior.
-    # Nearly flat ones leave one: the capacity there reads the energies'
-    # spread about e_min, which magnifies their relative rounding by
-    # e_min/(e_mean - e_min), 2.5e4 on (1, 1e-5), past the 1e-12 below.
-    assume(profile.e_mean > profile.e_min * (1.0 + 1e-3))
     energies = profile.energies
     scaled_energies = enumerate_profile(build_operators(scaled)).energies
     np.testing.assert_allclose(scaled_energies, c2 * energies, rtol=1e-12)
@@ -212,6 +211,12 @@ def test_delta_squared_scaling(spec, c, p_over_d2, rho, t):
     # So the Gibbs capacity depends on power only through P/delta^2, and
     # gibbs_beta scales as 1/delta^2.  The power lies a fraction t of the way
     # from the floor e_min/N to saturation at e_mean/N, inside the interior.
+    # Flat gains (a pure delay) give every pattern one energy and no interior.
+    # Nearly flat ones leave one: the capacity there reads the energies'
+    # spread about e_min, which magnifies their relative rounding by
+    # e_min/(e_mean - e_min), 2.5e4 on (1, 1e-5), past the 1e-12 below.
+    if profile.e_mean <= profile.e_min * (1.0 + 1e-3):
+        return
     n = spec.block_len
     p = profile.e_min / n + t * (profile.e_mean - profile.e_min) / n
     ((_, sol),) = capacity_curve(build_operators(spec), [p])
@@ -243,6 +248,16 @@ def test_spectral_null_rejected(taps):
         achievable_rate_curve(spec, [DELTA**2])
     with pytest.raises(SingularChannel):
         power_asymptotic(spec, MarkovScheme(0.7))
+
+
+def test_rate_floor_tolerance():
+    # A budget within BOUNDARY_TOL under the floor is the floor; one further
+    # under is infeasible.  On the pure delay the floor is saturation.
+    delay = ChannelSpec((0.0, 1.0), DELTA, 6)
+    floor = DELTA**2
+    assert achievable_rate(delay, floor) == 1.0
+    assert achievable_rate(delay, math.nextafter(floor, 0.0)) == 1.0
+    assert achievable_rate(delay, floor * (1 - 1e-6)) == 0.0
 
 
 def test_achievable_rate_matches_closed_form():
@@ -369,6 +384,10 @@ def reference_power_of(spec, power_model):
 
 def reference_rate(spec, power, power_model="asymptotic"):
     power_of = reference_power_of(spec, power_model)
+    # A budget within BOUNDARY_TOL under the least power is that floor.
+    floor = min(power_of(a) for a in (0.5, 1.0, 0.0))
+    if power >= floor * (1 - BOUNDARY_TOL):
+        power = max(power, floor)
     if power_of(0.5) <= power:
         return 1.0, 0.5
     best_rate, best_alpha = 0.0, math.nan
