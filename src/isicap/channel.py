@@ -183,6 +183,29 @@ def apply_inverse(ops: ChannelOperators, y) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(y, axis=-1) / half, n=ops.n, axis=-1)
 
 
+def _block_energies(ops: ChannelOperators, signs, out=None) -> np.ndarray:
+    """sum_n x_n^2 of x = delta * M_h^{-1} s for each row s of signs.
+
+    By Parseval that is (delta^2/N) sum_k |S_k|^2 / |f_k|^2 over the N DFT
+    bins, a sum of nonnegative terms, so it keeps its digits however
+    ill-conditioned the channel is.  A real row's bins k and N - k are
+    conjugate, so the rfft's bins stand for both, save bin 0 and, for even
+    N, bin N/2: their squared real and imaginary parts are weighted once per
+    DFT bin they stand for.  Each row is reduced on its own (np.vecdot), so
+    its bits do not depend on the rows passed with it.  The energies go to
+    out when it is given.
+    """
+    n = ops.n
+    weight = ops.spec_weight[: n // 2 + 1] * 2.0
+    weight[0] = ops.spec_weight[0]
+    if n % 2 == 0:
+        weight[-1] = ops.spec_weight[n // 2]
+    weight *= ops.delta * ops.delta / n
+    spectrum = np.fft.rfft(signs, axis=-1).view(np.float64)
+    np.square(spectrum, out=spectrum)
+    return np.vecdot(spectrum, np.repeat(weight, 2), out=out)
+
+
 def quantize(x):
     """1-bit quantizer: +1 for x >= 0, -1 otherwise.  Scalar or array."""
     if np.isscalar(x):

@@ -13,9 +13,11 @@ The closed form z = delta * 1, i.e.
 has multipliers mu = 2*delta*diag(s)*G*s and is optimal exactly when mu >= 0;
 diagonal dominance of G is the case where this holds for every s.  Every
 channel takes the same path: an exhaustive profile forms diag(s) G s for each
-pattern with the dense G, keeps the closed form where mu >= 0 (its energy
-taken by Parseval, a sum of nonnegative terms) and sends the other patterns
-to the solver.
+pattern with the dense G, keeps the closed form where mu >= 0 and sends
+the other patterns to the solver.  The closed form's energy is
+channel._block_energies, the Parseval sum over the pattern's rfft, whose
+terms are nonnegative; the simulator takes its transmit power from the same
+sum.
 
 The solver is a primal active-set method (Lawson-Hanson) started at the
 closed form.  Its first pivot frees every bound whose closed-form multiplier
@@ -50,7 +52,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channel import ChannelOperators, _as_int, apply_inverse
+from .channel import ChannelOperators, _as_int, _block_energies, apply_inverse
 from .exceptions import NoConvergence, NotDiagonallyDominant, TooLarge
 
 # Exhaustive enumeration cap: 2^20 patterns is the desk-scale budget.
@@ -63,15 +65,9 @@ DUAL_TOL = 1e-12
 # Patterns within this relative distance of e_min count as minimizers.
 MIN_TIE_TOL = 1e-9
 
-# Orbits per chunk of an exhaustive profile.  Keep it a power of two: the
-# Parseval energies go through OpenBLAS's dgemv, which takes rows four at a
-# time and the one to three rows left at the end of a call through another
-# kernel that can round them differently (on (1, 0.2) at N = 20 the last row
-# of a call of 4k + 1 rows moved by 1-2 ulps for 179 of 999 k).  Chunks of a
-# multiple of 4 rows give every energy the bits of one call over all orbits;
-# chunks of 3001 or 3449 did not.  2^12 rows give one chunk for every
-# N <= 17, and at N = 20 a chunk's float and complex temporaries (0.6 and
-# 1.3 MB) fit a core's L2.
+# Orbits per chunk of an exhaustive profile: 2^12 rows give one chunk for
+# every N <= 17, and at N = 20 a chunk's temporaries (about 0.7 MB each) fit
+# a core's L2.
 _CHUNK = 1 << 12
 
 # Smallest normal float: the floor on a step's span, which keeps it positive.
@@ -181,7 +177,7 @@ def analytic_energy(ops: ChannelOperators, s) -> EnergySolution:
         )
     s = _as_pattern(ops.n, s)
     gs = _gram_apply(ops, s[None, :])[0]
-    energy = ops.delta**2 * float(s @ gs)
+    energy = float(_block_energies(ops, s))
     x_star = ops.delta * apply_inverse(ops, s)
     dual = 2.0 * ops.delta * s * gs
     return EnergySolution(energy=energy, x_star=x_star, dual=dual, gap=0.0)
@@ -388,26 +384,6 @@ def _orbits(n: int):
     return codes, np.where(codes == complement, periods, 2 * periods)
 
 
-def _parseval_energies(ops: ChannelOperators, pats: np.ndarray) -> np.ndarray:
-    """The closed-form energy delta^2 s'Gs of each pattern row.
-
-    s'Gs = (1/N) sum_k |DFT(s)_k|^2 / |f_k|^2 (Parseval) adds nonnegative
-    terms, so it keeps its digits however ill-conditioned G is; the dense sum
-    over s_i s_j g_{i-j} cancels terms of size g_0.  The FFT is handed complex
-    input, transformed in place: on float input it casts through a slow
-    buffered loop, to the same bits.  The temporaries are freed on return,
-    before any QP solve of the chunk.
-    """
-    spec = pats.astype(complex)
-    np.fft.fft(spec, axis=-1, out=spec)
-    power = np.abs(spec)
-    power **= 2
-    vals = power @ ops.spec_weight
-    vals /= ops.n
-    vals *= ops.delta**2
-    return vals
-
-
 def _screen_failures(ops: ChannelOperators, pats: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """Indices of the pattern rows whose closed form is not optimal.
 
@@ -434,11 +410,10 @@ def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     energies = np.empty(codes.size)
     for start in range(0, codes.size, _CHUNK):
         pats = pattern_from_code(codes[start : start + _CHUNK], n)
-        vals = _parseval_energies(ops, pats)
+        vals = _block_energies(ops, pats, out=energies[start : start + _CHUNK])
         bad = _screen_failures(ops, pats, gram)
         if bad.size:
             vals[bad] = _solve(ops, pats[bad])[1]
-        energies[start : start + _CHUNK] = vals
 
     e_min = float(energies.min())
     # Veltkamp split: each half of E has at most 26 significant bits, so its

@@ -224,7 +224,8 @@ def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asympto
     null anywhere on the unit circle, or at a DFT bin of length N.  The
     power model is built once, and every budget and both branches are
     bisected together.  As in the Gibbs layer, a budget within BOUNDARY_TOL
-    (relative) under the least power of any alpha is that floor.
+    (relative) under the least power of any alpha is that floor, and one
+    within it under the power at alpha = 1/2 saturates.
     """
     powers = list(powers)
     for power in powers:
@@ -244,8 +245,10 @@ def achievable_rate_curve(spec: ChannelSpec, powers, power_model: str = "asympto
     # H2 falls off symmetrically away from 1/2, so search each branch for the
     # feasible alpha closest to 1/2; negative-tap channels can prefer the
     # anti-correlated branch (alpha < 1/2).  Lanes of the alpha = 1 branch
-    # come first, so ties between branches go to it.
-    saturated = at_half <= budgets
+    # come first, so ties between branches go to it.  Saturation takes the
+    # floor's tolerance: on the pure delay the finite model's power at
+    # alpha = 1/2 rounds one ulp above the budget delta^2.
+    saturated = at_half * (1 - BOUNDARY_TOL) <= budgets
     points = [
         np.flatnonzero(~saturated & ~(at_end > budgets)) for at_end in (at_one, at_zero)
     ]

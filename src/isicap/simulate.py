@@ -21,16 +21,16 @@ threads, one per usable CPU, and works in slices of about _SLICE_SIZE
 samples, so that a slice's words, signs, spectra and noise stay in cache.
 
 The transmit power comes from the sign spectrum.  Zero-forcing sends
-x = delta * M^{-1} s, and by Parseval a block's energy sum_n x_n^2 is
-(delta^2/N) sum_k |S_k|^2 / |f_k|^2, read off the rfft of its signs with
-each bin weighted once per DFT bin it stands for.  Each row is reduced on
-its own (np.vecdot), so a block's energy does not depend on the slice it
-falls in.  x itself is formed only on the blocks that fall back (below) and
-on the run's partial last block, whose counted samples are summed as x^2:
-the power is over the first num_symbols positions.  A chunk sums its
-blocks' energies in block order, jobs return their flip count and their
-chunk's energy, and the energies are added in chunk order, so the report is
-the same bit for bit whatever the number of workers.
+x = delta * M^{-1} s, and a block's energy sum_n x_n^2 is the Parseval sum
+over the rfft of its signs, channel._block_energies, the one the energy
+layer takes for the closed form.  It is taken row by row, so a block's
+energy does not depend on the slice it falls in.  x itself is formed only
+on the blocks that fall back (below) and on the run's partial last block,
+whose counted samples are summed as x^2: the power is over the first
+num_symbols positions.  A chunk sums its blocks' energies in block order,
+jobs return their flip count and their chunk's energy, and the energies are
+added in chunk order, so the report is the same bit for bit whatever the
+number of workers.
 
 Most noise draws cannot change a decision, and those skip ndtri.  The
 decision on a sample is the sign of y + sigma*z, where y = (M x)_n is the
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperators, _as_int, apply_channel, apply_inverse
+from .channel import ChannelOperators, _as_int, _block_energies, apply_channel, apply_inverse
 
 # Blocks per chunk, the unit of work of one job.  Fixed, since it sets where
 # each chunk's words start, so results for a given config are reproducible
@@ -200,23 +200,6 @@ def _rounding_margin(ops: ChannelOperators) -> float:
     return ops.delta * cond * math.log2(2 * ops.n) * _ROUNDING_MARGIN
 
 
-def _bin_weights(ops: ChannelOperators) -> np.ndarray:
-    """Weights on the squared real and imaginary parts of a block's rfft that
-    sum to the block's energy sum_n x_n^2, x = delta * M^{-1} s.
-
-    By Parseval that energy is (delta^2/N) sum_k |S_k|^2 / |f_k|^2 over all N
-    bins.  A real block's bins k and N - k are conjugate, so each rfft bin
-    stands for both, save bin 0 and, for even N, bin N/2.
-    """
-    n = ops.n
-    weight = ops.spec_weight[: n // 2 + 1] * 2.0
-    weight[0] = ops.spec_weight[0]
-    if n % 2 == 0:
-        weight[-1] = ops.spec_weight[n // 2]
-    weight *= ops.delta * ops.delta / n
-    return np.repeat(weight, 2)
-
-
 def _tails(words: np.ndarray, band: tuple) -> np.ndarray:
     """Indices of the noise words whose draw k = w >> 11 lies outside the band.
 
@@ -255,7 +238,6 @@ def _simulate_chunk(
     first_words = _words_at(key, start)
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
-    bin_weights = _bin_weights(ops)
     energies = np.empty(take)
 
     flips = 0
@@ -268,9 +250,7 @@ def _simulate_chunk(
         )
         signs = positive * 2.0
         signs -= 1.0
-        spectrum = np.fft.rfft(signs, axis=-1).view(np.float64)
-        np.square(spectrum, out=spectrum)
-        np.vecdot(spectrum, bin_weights, out=energies[r0:r1])
+        _block_energies(ops, signs, out=energies[r0:r1])
         words = noise_words.random_raw((r1 - r0) * n)[: min(count, r1 * n) - r0 * n]
         tails = _tails(words, band)
         sent = positive.ravel()[tails]

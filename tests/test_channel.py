@@ -11,8 +11,10 @@ from isicap import (
     apply_inverse,
     build_operators,
     frequency_response,
+    pattern_from_code,
     quantize,
 )
+from isicap.channel import _block_energies
 
 
 def circulant_matrix(taps, n):
@@ -179,3 +181,13 @@ def test_operators_are_frozen():
     ops = build_operators(ChannelSpec((1.0, 0.2), 0.3, 8))
     with pytest.raises(ValueError):
         ops.gram_generator[0] = 99.0
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_block_energies_match_dense_inverse(n):
+    # Odd and even N, so the unpaired rfft bin N/2 is covered.
+    taps = (-0.3, 1.0, 0.6)[:n]
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    signs = pattern_from_code(np.arange(1 << n), n)
+    x = 0.3 * np.linalg.solve(circulant_matrix(taps, n), signs.T).T
+    np.testing.assert_allclose(_block_energies(ops, signs), np.sum(x * x, axis=1), rtol=1e-13)

@@ -89,6 +89,20 @@ def test_markov_power_model_flag(capsys):
     assert rate_a > rate_f  # the length-12 constraint is the stricter one
 
 
+@pytest.mark.parametrize("model", ["asymptotic", "finite"])
+def test_markov_pure_delay_saturates_at_delta_squared(capsys, model):
+    # Every alpha costs delta^2 on the pure delay; the finite power at
+    # alpha = 1/2 rounds an ulp above it and still reads saturation.
+    code, out, _ = run_cli(
+        capsys, "markov", "--taps", "0,1", "--n", "6", "--grid", "0.98:1.02:5",
+        "--power-model", model,
+    )
+    assert code == 0
+    assert [r[1:] for r in parse_csv(out)[1]] == [
+        ["0.0", "nan"], ["0.0", "nan"], ["1.0", "0.5"], ["1.0", "0.5"], ["1.0", "0.5"]
+    ]
+
+
 @pytest.mark.parametrize("taps", ["1,-1", "1,1", "1,0.9999999999"])
 def test_markov_spectral_null_rejected(capsys, taps):
     code, out, err = run_cli(capsys, "markov", f"--taps={taps}", "--grid", "0.5,1,4")

@@ -24,6 +24,7 @@ from isicap import (
     pattern_from_code,
     solve_energy_qp,
 )
+from isicap.channel import _block_energies
 from isicap.energy import (
     _CHUNK,
     ENUMERATION_CAP,
@@ -153,6 +154,13 @@ def test_analytic_against_quadratic_form(two_tap_ops):
         # KKT: x* meets every constraint with equality on DD channels.
         np.testing.assert_allclose(s * (m @ sol.x_star), DELTA, atol=1e-10)
         assert sol.dual.min() >= -1e-14
+
+
+def test_analytic_energy_is_the_profile_energy(two_tap_ops, two_tap_profile):
+    # The closed-form energy has one implementation, so it keeps its bits.
+    codes = two_tap_profile.orbit_codes
+    for s, want in zip(pattern_from_code(codes, 12), two_tap_profile.orbit_energies):
+        assert analytic_energy(two_tap_ops, s).energy == want
 
 
 def test_qp_agrees_with_analytic_on_dd(two_tap_ops):
@@ -485,23 +493,20 @@ def test_screened_chunks_skip_the_solver(monkeypatch, two_tap_ops):
     assert enumerate_profile(two_tap_ops).orbit_energies.size == 180
 
 
-def test_chunk_is_a_power_of_two():
-    # The Parseval dgemv keeps a row's bits wherever the row sits in a call
-    # only for row counts that are multiples of 4.
-    assert _CHUNK % 4 == 0 and _CHUNK & (_CHUNK - 1) == 0
-
-
 def _profile_fields(prof):
     return prof.orbit_energies.tobytes(), prof.e_mean, prof.min_count
 
 
 # (1, 0.8) at N = 14 sends orbits to the QP; (1, 0.2) at N = 17 has 3,856
 # orbits, in 964 chunks of 4 or in three of 2^10 and a partial last one.
-@pytest.mark.parametrize("taps, n", [((1.0, 0.8), 14), ((1.0, 0.2), 17)])
+# Chunks of 3001 and 3449 rows (4k + 1) split the 26,272 orbits at N = 20
+# with a ragged last chunk, which rounded its last rows differently when the
+# energies went through a BLAS matrix-vector product.
+@pytest.mark.parametrize("taps, n", [((1.0, 0.8), 14), ((1.0, 0.2), 17), ((1.0, 0.2), 20)])
 def test_profile_bits_do_not_depend_on_chunk_size(monkeypatch, taps, n):
     ops = build_operators(ChannelSpec(taps, DELTA, n))
     want = _profile_fields(enumerate_profile(ops))
-    for chunk in (4, 1 << 10, 1 << 14):
+    for chunk in (4, 1 << 10, 3001, 3449, 1 << 14):
         monkeypatch.setattr(energy_module, "_CHUNK", chunk)
         assert _profile_fields(enumerate_profile(ops)) == want
 
@@ -510,8 +515,7 @@ def test_profile_bits_do_not_depend_on_chunk_size(monkeypatch, taps, n):
 def test_chunked_energies_equal_one_call_over_all_orbits(n):
     ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, n))
     prof = enumerate_profile(ops)
-    pats = pattern_from_code(prof.orbit_codes, n)
-    whole = DELTA**2 * ((np.abs(np.fft.fft(pats, axis=-1)) ** 2 @ ops.spec_weight) / n)
+    whole = _block_energies(ops, pattern_from_code(prof.orbit_codes, n))
     assert prof.orbit_codes.size > 3 * _CHUNK
     assert prof.orbit_energies.tobytes() == whole.tobytes()
 

@@ -384,11 +384,12 @@ def reference_power_of(spec, power_model):
 
 def reference_rate(spec, power, power_model="asymptotic"):
     power_of = reference_power_of(spec, power_model)
-    # A budget within BOUNDARY_TOL under the least power is that floor.
+    # A budget within BOUNDARY_TOL under the least power is that floor, and
+    # one within it under the power at alpha = 1/2 saturates.
     floor = min(power_of(a) for a in (0.5, 1.0, 0.0))
     if power >= floor * (1 - BOUNDARY_TOL):
         power = max(power, floor)
-    if power_of(0.5) <= power:
+    if power_of(0.5) * (1 - BOUNDARY_TOL) <= power:
         return 1.0, 0.5
     best_rate, best_alpha = 0.0, math.nan
     for endpoint in (1.0, 0.0):
