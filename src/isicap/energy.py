@@ -37,13 +37,12 @@ and their duality gap; with z >= delta they certify it.
 The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
 0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
 exhaustive profile solves one pattern per orbit under rotation and negation
-(26,272 orbits for the 2^20 patterns at N = 20).  The orbits are listed
-directly: binary necklaces (least rotations) come from the tree of
-prenecklaces of Fredricksen, Kessler and Maiorana, built in numpy one level
-(word length) at a time, and a necklace is kept when it is not above the
-least rotation of its complement.  Each orbit carries its size, the
-necklace's period, doubled when the complement lies in another rotation
-class.
+(26,272 orbits for the 2^20 patterns at N = 20).  Negating s leaves its
+cyclic sign-change word d_i = s_i xor s_{i+1} (i mod N) unchanged, rotating
+s rotates d, and an even-weight d has exactly the preimages s and -s: the
+orbits are the even-weight binary necklaces, of 2 * period(d) patterns
+each.  The necklaces come from the tree of prenecklaces of Fredricksen,
+Kessler and Maiorana, built in numpy one level (word length) at a time.
 """
 
 import math
@@ -88,10 +87,11 @@ class EnergySolution:
 class EnergyProfile:
     """Exhaustive energy landscape over the 2^N sign patterns, stored per orbit.
 
-    orbit_codes[i] is the least code in orbit i under rotation and negation
-    (increasing in i), multiplicity[i] the orbit's size and orbit_energies[i]
-    its energy.  min_count is the number of patterns tied with e_min within
-    MIN_TIE_TOL relative.
+    orbit_codes[i] is the member of orbit i under rotation and negation with
+    entry 0 = -1 whose sign-change word is the i-th even-weight necklace (the
+    necklaces increase with i), multiplicity[i] the orbit's size and
+    orbit_energies[i] its energy.  min_count is the number of patterns tied
+    with e_min within MIN_TIE_TOL relative.
     """
 
     n: int
@@ -280,19 +280,18 @@ def _active_set(ops, s, budget):
 
 
 def _solve(ops: ChannelOperators, s, gap_tol=None):
-    """x*, E, dual and duality gap for each pattern row of s, after at most 3N
-    pivots.  The certificate is checked per row: the active set's z, with
-    x* = M_h^{-1} diag(s) z, must be at least delta (primal feasibility; the
-    dual is nonnegative by construction) and the gap within its tolerance,
-    else NoConvergence is raised."""
+    """z, E, dual and duality gap for each pattern row of s, after at most 3N
+    pivots; E is the Parseval energy of x* = M_h^{-1} diag(s) z.  The
+    certificate is checked per row: z must be at least delta (primal
+    feasibility; the dual is nonnegative by construction) and the gap within
+    its tolerance, else NoConvergence is raised."""
     budget = 3 * ops.n
     z, mu = _active_set(ops, s, budget)
-    x = apply_inverse(ops, s * z)
+    e = _block_energies(ops, s * (z / ops.delta))
     dual = np.maximum(mu, 0.0)
     # Weak duality: delta*1'dual - ||M_h^T diag(s) dual||^2 / 4 bounds E below.
     half = ops.dft_gains[: ops.n // 2 + 1]
     mt_dual = np.fft.irfft(np.fft.rfft(s * dual, axis=-1) * half, n=ops.n, axis=-1)
-    e = np.einsum("ij,ij->i", x, x)
     gap = e - (ops.delta * dual.sum(axis=1) - 0.25 * np.einsum("ij,ij->i", mt_dual, mt_dual))
     z_min = z.min(axis=1)
     if not np.all(z_min >= ops.delta):
@@ -308,7 +307,7 @@ def _solve(ops: ChannelOperators, s, gap_tol=None):
             f"duality gap {gap[worst]:.3e} above tolerance after a budget of {budget} pivots",
             gap=float(gap[worst]),
         )
-    return x, e, dual, gap
+    return z, e, dual, gap
 
 
 def energy(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
@@ -317,8 +316,8 @@ def energy(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
     primal feasibility and the duality gap (at rounding level the gap can be
     negative).  gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
     s = _as_pattern(ops.n, s)
-    x, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol)
-    return EnergySolution(float(e[0]), x[0], dual[0], float(gap[0]))
+    z, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol)
+    return EnergySolution(float(e[0]), apply_inverse(ops, s * z)[0], dual[0], float(gap[0]))
 
 
 # The solver's older name, still used by callers.
@@ -335,15 +334,6 @@ def _rotations(codes: np.ndarray, n: int):
         turned = doubled >> (n - k)
         turned &= mask
         yield turned
-
-
-def _least_rotation(codes: np.ndarray, n: int) -> np.ndarray:
-    """The least rotation of each n-bit code (n <= 31)."""
-    turns = _rotations(codes, n)
-    least = next(turns)
-    for turned in turns:
-        np.minimum(least, turned, out=least)
-    return least
 
 
 def _necklaces(n: int):
@@ -375,13 +365,17 @@ def _necklaces(n: int):
 
 
 def _orbits(n: int):
-    """The least code of each orbit of {-1, +1}^n under rotation and negation,
-    increasing, and the orbit sizes (they sum to 2^n)."""
-    codes, periods = _necklaces(n)
-    complement = _least_rotation(codes ^ ((1 << n) - 1), n)
-    keep = codes <= complement
-    codes, periods, complement = codes[keep], periods[keep], complement[keep]
-    return codes, np.where(codes == complement, periods, 2 * periods)
+    """One code per orbit of {-1, +1}^n under rotation and negation, and the
+    orbit sizes (they sum to 2^n).  Orbit i's code has entry 0 = -1 and the
+    i-th even-weight necklace as its sign-change word: bit j below the top is
+    the xor of the necklace's top j bits, the inverse Gray code (n <= 32)
+    shifted right by one."""
+    words, periods = _necklaces(n)
+    even = np.bitwise_count(words) % 2 == 0
+    codes = words[even]
+    for shift in (1, 2, 4, 8, 16):
+        codes ^= codes >> shift
+    return codes >> 1, 2 * periods[even]
 
 
 def _screen_failures(ops: ChannelOperators, pats: np.ndarray, gram: np.ndarray) -> np.ndarray:

@@ -140,8 +140,10 @@ def _series_powers(spec: ChannelSpec):
     coeffs = inverse_spectrum_coeffs(spec).tolist()
     g0, tail = coeffs[0], coeffs[:0:-1]
     d2 = spec.delta**2
-    at_one = d2 / abs(frequency_response(spec, 0.0)) ** 2
-    at_minus_one = d2 / abs(frequency_response(spec, math.pi)) ** 2
+    # A numpy |f|^2 (rounded as Python's) overflows to inf, not OverflowError.
+    with np.errstate(over="ignore"):
+        at_one = d2 / np.abs(frequency_response(spec, 0.0)) ** 2
+        at_minus_one = d2 / np.abs(frequency_response(spec, math.pi)) ** 2
 
     def powers(rho):
         rho = np.asarray(rho, dtype=float)

@@ -34,10 +34,10 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
     round-off.
 
     Doubles a uniform sample grid until the upper quarter of the sampled
-    spectrum is at or below ROUNDOFF_FLOOR * max 1/|f|^2.  Raises
-    SingularChannel if min |f| on a grid is below SINGULAR_TOL * max |f| (the
-    rule of build_operators), and QuadratureFailure if the coefficients have
-    not decayed by _GRID_MAX samples.
+    spectrum is at or below ROUNDOFF_FLOOR * max 1/|f|^2, keeping g_0.  Raises
+    SingularChannel where build_operators does (min |f| on a grid below
+    SINGULAR_TOL * max |f|, or 1/|f|^2 overflowing), and QuadratureFailure if
+    the coefficients have not decayed by _GRID_MAX samples.
     """
     m = _GRID_START
     while True:
@@ -47,9 +47,13 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
                 f"|f| ranges over [{np.min(mags):.3e}, {np.max(mags):.3e}] on "
                 f"{m} frequencies; the zero-forcing power is unbounded"
             )
-        vals = 1.0 / mags**2
+        # An overflowing |f|^2 gives 1/|f|^2 = 0, an underflowing one inf.
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = 1.0 / mags**2
+            coeffs = np.fft.rfft(vals).real / m
+        if not np.all(np.isfinite(coeffs)):
+            raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
         floor = ROUNDOFF_FLOOR * np.max(vals)
-        coeffs = np.fft.rfft(vals).real / m
         if np.max(np.abs(coeffs[m // 4 :])) <= floor:
             break
         if m >= _GRID_MAX:
@@ -58,7 +62,7 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
                 f"within {_GRID_MAX} grid points"
             )
         m *= 2
-    return coeffs[: np.nonzero(np.abs(coeffs) > floor)[0][-1] + 1]
+    return coeffs[: 1 + np.max(np.flatnonzero(np.abs(coeffs) > floor), initial=0)]
 
 
 def pbar_asymptotic(spec: ChannelSpec) -> float:

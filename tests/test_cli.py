@@ -111,6 +111,27 @@ def test_markov_spectral_null_rejected(capsys, taps):
     assert "zero-forcing power is unbounded" in err
 
 
+@pytest.mark.parametrize("model", ["asymptotic", "finite"])
+@pytest.mark.parametrize("taps", ["1e200,1", "1e-200", "1e-160,1e-161"])
+def test_markov_extreme_taps(capsys, model, taps):
+    # |f|^2 overflows on the first channel, so 1/|f|^2 and every power are 0
+    # and the rate saturates; 1/|f|^2 overflows on the others.  Both power
+    # models answer as capacity does, with no warning and no traceback.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(
+            capsys, "markov", f"--taps={taps}", "--grid", "1", "--power-model", model
+        )
+        capacity = run_cli(capsys, "capacity", f"--taps={taps}", "--grid", "1")
+    if taps == "1e200,1":
+        assert (code, err) == (0, "")
+        assert parse_csv(out)[1] == [["1.0", "1.0", "0.5"]]
+        assert parse_csv(capacity[1])[1] == [["1.0", "1.0", "SATURATED", "0.0"]]
+    else:
+        assert (code, out) == (capacity[0], capacity[1]) == (1, "")
+        assert err == capacity[2] == "isicap: the Gram inverse (M_h M_h^T)^{-1} overflows\n"
+
+
 def test_energy_summary(capsys):
     code, out, _ = run_cli(capsys, "energy", "--taps", "1,0.2")
     assert code == 0

@@ -1,5 +1,6 @@
 """Energy QP: analytic path, active-set solver, exhaustive profiles."""
 
+import functools
 import importlib
 import math
 from fractions import Fraction
@@ -29,7 +30,6 @@ from isicap.energy import (
     _CHUNK,
     ENUMERATION_CAP,
     MIN_TIE_TOL,
-    _least_rotation,
     _necklaces,
     _orbits,
     _rotations,
@@ -404,15 +404,19 @@ def test_random_channels_match_reference_exactly(monkeypatch):
         checked += pats.shape[0]
 
 
-@pytest.mark.parametrize("taps, n", [((1.0, 0.8), 12), ((-0.3, 1.0, 0.6), 16)])
+@pytest.mark.parametrize(
+    "taps, n",
+    [((1.0, 0.8), 12), ((-0.3, 1.0, 0.6), 16), ((1.0, 0.2), 12), ((1.0, 0.2), 16),
+     ((-0.3, 1.0, 0.6), 12), ((1.0, 0.8), 16)],
+)
 def test_profile_energy_equals_single_pattern_solve(taps, n):
-    # A free-set step never pads a row to its batch, so an orbit's energy
-    # inside the profile is bit for bit its energy solved alone.
+    # A free-set step never pads a row to its batch, and the closed form and
+    # the QP take E from the same Parseval sum, so every orbit's energy inside
+    # the profile is bit for bit its energy solved alone.
     ops = build_operators(ChannelSpec(taps, DELTA, n))
     prof = enumerate_profile(ops)
-    pats = _qp_orbit_patterns(ops)
-    for s in pats:
-        assert energy(ops, s).energy == prof.energies[code_from_pattern(s)]
+    for s, want in zip(pattern_from_code(prof.orbit_codes, n), prof.orbit_energies):
+        assert energy(ops, s).energy == want
 
 
 def test_negative_set_start_takes_one_solve(monkeypatch):
@@ -658,12 +662,21 @@ def test_profile_energies_read_only(two_tap_profile):
 
 @pytest.mark.parametrize("n, count", ORBIT_COUNTS.items())
 def test_orbit_counts_match_burnside(n, count):
+    # Entry 0 of each representative is -1, and the sign-change words
+    # s_i xor s_{i+1} of the representatives are the even-weight necklaces in
+    # increasing order, each orbit twice its word's period in size.
     codes, mult = _orbits(n)
     assert codes.size == count
     assert int(mult.sum()) == 1 << n
-    assert np.all(np.diff(codes) > 0)
+    assert np.all(codes < 1 << (n - 1))
+    words = codes ^ (((codes << 1) | (codes >> (n - 1))) & ((1 << n) - 1))
+    necklaces, periods = _fkm_necklaces(n)
+    even = np.bitwise_count(necklaces) % 2 == 0
+    np.testing.assert_array_equal(words, necklaces[even])
+    np.testing.assert_array_equal(mult, 2 * periods[even])
 
 
+@functools.cache
 def _fkm_necklaces(n):
     """Binary necklaces of length n and their periods by the iterative
     Fredricksen-Kessler-Maiorana loop, one word at a time: raise the last 0 of
@@ -700,17 +713,25 @@ def _shifted_rotations(codes, n):
     return np.array([((codes << k) | (codes >> (n - k))) & mask for k in range(n)])
 
 
+def _canonical(codes, n):
+    """The least of the 2n images of each code under rotation and negation."""
+    rotations = _shifted_rotations(codes, n)
+    return np.minimum(rotations, rotations ^ ((1 << n) - 1)).min(axis=0)
+
+
 @pytest.mark.parametrize("n", range(1, 17))
 def test_orbits_against_brute_force(n):
-    # Least code of each orbit under rotation and negation, and orbit sizes,
-    # from the 2n images of every code.
-    rotations = _shifted_rotations(np.arange(1 << n, dtype=np.int64), n)
-    least = np.minimum(rotations, rotations ^ ((1 << n) - 1)).min(axis=0)
-    ref_codes, ref_sizes = np.unique(least, return_counts=True)
+    # The representatives' canonical forms are those of all 2^n codes, each
+    # once, and each orbit size is the number of codes with that form.
+    ref_forms, ref_sizes = np.unique(
+        _canonical(np.arange(1 << n, dtype=np.int64), n), return_counts=True
+    )
     codes, mult = _orbits(n)
     assert codes.dtype == mult.dtype == np.int64
-    np.testing.assert_array_equal(codes, ref_codes)
-    np.testing.assert_array_equal(mult, ref_sizes)
+    forms = _canonical(codes, n)
+    order = np.argsort(forms)
+    np.testing.assert_array_equal(forms[order], ref_forms)
+    np.testing.assert_array_equal(mult[order], ref_sizes)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -718,7 +739,6 @@ def test_rotations_and_least_rotation_match_shifts(n):
     codes = np.arange(1 << n, dtype=np.int64)
     ref = _shifted_rotations(codes, n)
     np.testing.assert_array_equal(list(_rotations(codes, n)), ref)
-    np.testing.assert_array_equal(_least_rotation(codes, n), ref.min(axis=0))
 
 
 @pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, 0.8), (-0.3, 1.0, 0.6)])
