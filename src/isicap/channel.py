@@ -73,6 +73,10 @@ class ChannelSpec:
             raise ValueError("need at least one tap")
         if not np.all(np.isfinite(taps)):
             raise ValueError("taps must be finite")
+        # Every gain |f(lam)|, and every partial sum of the FFT that forms
+        # them, is at most sum |h_k|: taps past that bound overflow the gains.
+        if not sum(abs(t) for t in taps) <= sys.float_info.max:
+            raise ValueError("the channel gains overflow: sum |h_k| exceeds the largest float")
         if not any(t != 0.0 for t in taps):
             raise ValueError("all taps are zero")
         _check_delta(self.delta)

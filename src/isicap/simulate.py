@@ -11,7 +11,7 @@ seed.  Chunk c of _BLOCK_CHUNK blocks, holding `take` blocks of N samples,
 starts at word c*2*_BLOCK_CHUNK*N and holds, in order, one word per block
 for the first sign (+1 when the word is below 2^63), one per Markov step
 (the uniform (w >> 11) * 2^-53), then one per sample whose 53-bit integer
-k = w >> 11 gives the noise sigma * ndtri((k + 0.5) / 2^53).  These are the
+k = w >> 11 gives the noise sigma * z_k (below).  These are the
 draws Generator(Philox(seed)).random and .integers(0, 2^53) make in that
 order, since Lemire's method never rejects a power-of-two range.  Philox is
 counter-based, so a slice of rows r0..r1 reads its own words at fixed
@@ -32,39 +32,42 @@ jobs return their flip count and their chunk's energy, and the energies are
 added in chunk order, so the report is the same bit for bit whatever the
 number of workers.
 
-Most noise draws cannot change a decision, and those skip ndtri.  The
-decision on a sample is the sign of y + sigma*z, where y = (M x)_n is the
-noiseless output.  Zero-forcing sends x = delta * M^{-1} s, so y is delta*s
-up to the rounding of the two FFT actions, and the simulator never forms
-it.  By the usual FFT error bound that rounding is of order
-u * cond * log2(2N) times delta, with u the unit roundoff and cond the ratio
-of the largest to the smallest channel gain |f_k|; measured, it stays below
-1.03 u cond log2(2N) delta on channels from N = 12 to 1000.  The run takes
-margin = delta * cond * log2(2N) * _ROUNDING_MARGIN (1e-9, some 10^6 times
-that, which also covers the sqrt(N) by which one entry's error can exceed
-the normwise bound) as a bound on |y - delta*s|, so |y| > delta - margin on
-every sample.  If |sigma*z| < delta - margin, the rounded sum is nonzero
-and has the sign of y, which is s: no flip.  Because ndtri is monotone,
-|z| < x on a band of k around 2^52 for x = (delta - margin)/sigma, and Q(x)
-gives the band's edges once per run.  Widening that tail probability by _SCREEN_MARGIN (1e-9
-relative, against errors of the computed Q below 3e-13 relative where Q is
-a normal float) moves the band's edge in z inside x by at least
-1e-9/(x(x + 1)) relative.  That is over 1e-11 up to x = 8.3, and beyond it
-no draw on the lattice has |z| above 8.3 anyway.  ndtri is accurate to
-about 1e-15 relative and the roundings of x and sigma*z to 1.1e-16, so no
-draw in the band can change a decision.
+Most noise draws cannot change a decision, and those are decided by one
+integer compare.  The decision on a sample is the sign of y + sigma*z,
+where y = (M x)_n is the noiseless output.  Zero-forcing sends
+x = delta * M^{-1} s, so y is delta*s up to the rounding of the two FFT
+actions, and the simulator never forms it.  By the usual FFT error bound
+that rounding is of order u * cond * log2(2N) times delta, with u the unit
+roundoff and cond the ratio of the largest to the smallest channel gain
+|f_k|; measured, it stays below 1.03 u cond log2(2N) delta on channels from
+N = 12 to 1000.  The run takes margin = delta * cond * log2(2N) *
+_ROUNDING_MARGIN (1e-9, some 10^6 times that, which also covers the sqrt(N)
+by which one entry's error can exceed the normwise bound) as a bound on
+|y - delta*s|.  So when v = delta*s + sigma*z has |v| > 2*margin, y + sigma*z
+lies within margin of v and has its sign.
 
-Only the draws outside the band go through ndtri, and each is decided by
-the sign of v = delta*s_n + sigma*z_n.  When |v| > 2*margin, y + sigma*z
-lies within margin of v and has its sign.  A tail with |v| <= 2*margin
-takes the x of its block from apply_inverse and its y from apply_channel,
-on those blocks only, and is decided on y + sigma*z exactly as in the plain
-simulation.  So the report is bit for bit the one that adds noise to every
-sample of y.  When sigma is
-about 1e9 times delta or more, or margin reaches delta (cond near
-1e9/log2(2N), a nearly singular channel), the band is empty and every draw
-goes through ndtri; with margin >= delta every tail is near and its block
-falls back, slowly but still exactly.
+The noise z of draw k is the standard library's inverse normal CDF at
+u_k = (k + 0.5)/2^53, +inf where u_k rounds to 1 (k = 2^53 - 1).  It is
+nondecreasing in k, save that in the centre of the law its rational
+approximation steps down by up to two units in the last place now and then.
+So is v for either sign, and four edges on the lattice, found once per run
+by bisection over k in [0, 2^53), pin every decision that v decides: a sign
++1 flips for k < a (v < -2*margin), is near for a <= k < b and holds for
+k >= b (v > 2*margin); a sign -1 holds for k < c, is near for c <= k < d and
+flips for k >= d.  A step down can leave a draw's v a few units in the last
+place on the wrong side of +-2*margin from its edge, some 10^6 times less
+than margin, so y + sigma*z still has the sign the edge gives.  The quiet
+band [b, c - 1], where neither sign can flip, holds nearly every draw, and
+_tails picks out the rest with one unsigned compare on the raw words.  A
+tail is decided by comparing its k with the edges, and z is computed only
+for the near ones: a near tail takes the x of its block from apply_inverse
+and its y from apply_channel, on those blocks only, and is decided on
+y + sigma*z exactly as in the plain simulation.  So the report is bit for
+bit the one that adds sigma*z_k to every sample of y.  However large sigma
+is, the band holds the draw k = 2^52, whose z is 0.  It is empty only when
+margin reaches delta/2 (cond near 5e8/log2(2N), a nearly singular channel):
+then every draw is a tail and every near draw's block falls back, slowly but
+still exactly.
 """
 
 import math
@@ -85,12 +88,9 @@ _BLOCK_CHUNK = 1 << 12
 _SLICE_SIZE = 1 << 16
 
 # Noise draws are integers k on [0, 2^53), read as the uniform (k + 0.5)/2^53
-# and mapped by ndtri: one word per sample, unlike rng.normal whose ziggurat
-# consumes a variable number of words, so the stream stays fixed.
+# and mapped by the inverse normal CDF: one word per sample, unlike rng.normal
+# whose ziggurat consumes a variable number of words, so the stream stays fixed.
 _LATTICE = 1 << 53
-
-# Relative widening of the tail probability that bounds the noise screen.
-_SCREEN_MARGIN = 1e-9
 
 # Bound on |M(M^{-1}(delta*s)) - delta*s| as computed, relative to
 # delta * cond * log2(2N): some 10^6 times the largest rounding measured.
@@ -140,20 +140,60 @@ class SimReport:
 
 def q_function(x: float) -> float:
     """Standard normal tail probability P(Z > x)."""
-    from scipy.special import erfc
-
-    return 0.5 * erfc(x / math.sqrt(2.0))
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _quiet_band(x: float):
-    """(lo, hi) such that every draw k in [lo, hi] has |ndtri(u_k)| < x.
+def _normal_at(k: int) -> float:
+    """The standard normal draw z_k of lattice integer k.
 
-    u_k = (k + 0.5)/2^53 is exact below 2^52; above it k + 0.5 may round up
-    to k + 1, which the extra step off the top edge absorbs.  The band is
-    empty (lo > hi) when Q(x) is near 1/2.
+    That is the inverse normal CDF at u_k = (k + 0.5)/2^53, and +inf at
+    k = 2^53 - 1, where k + 0.5 rounds up to 2^53 and u_k to 1.
     """
-    lo = math.ceil(q_function(x) * (1.0 + _SCREEN_MARGIN) * _LATTICE)
-    return lo, _LATTICE - 2 - lo
+    from statistics import NormalDist
+
+    u = (k + 0.5) * 2.0**-53
+    return math.inf if u == 1.0 else NormalDist().inv_cdf(u)
+
+
+def _first(holds) -> int:
+    """The least k in [0, 2^53) at which the test holds, or 2^53 if none.
+
+    The test must turn from false to true once as k rises; the k returned
+    is then the one where it does, holds(k - 1) being false.
+    """
+    lo, hi = 0, _LATTICE
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _edges(delta: float, sigma: float, margin: float) -> tuple:
+    """(a, b, c, d): the lattice edges of the decisions v = +-delta + sigma*z_k.
+
+    A sign +1 flips for k < a and is near (|v| <= 2*margin) for a <= k < b;
+    a sign -1 is near for c <= k < d and flips for k >= d.
+    """
+    bound = 2.0 * margin
+    return (
+        _first(lambda k: delta + sigma * _normal_at(k) >= -bound),
+        _first(lambda k: delta + sigma * _normal_at(k) > bound),
+        _first(lambda k: -delta + sigma * _normal_at(k) >= -bound),
+        _first(lambda k: -delta + sigma * _normal_at(k) > bound),
+    )
+
+
+def _decide(k: np.ndarray, sent: np.ndarray, edges: tuple):
+    """(flipped, near) for tails with lattice integers k and signs sent
+    (True for +1): the tails the edges decide as flips, and those they leave
+    to y + sigma*z."""
+    a, b, c, d = edges
+    flipped = np.where(sent, k < a, k >= d)
+    near = np.where(sent, (a <= k) & (k < b), (c <= k) & (k < d))
+    return flipped, near
 
 
 def _words_at(key: np.ndarray, offset: int) -> np.random.Philox:
@@ -219,15 +259,12 @@ def _simulate_chunk(
     config: NoisySimConfig,
     key: np.ndarray,
     chunk: int,
-    margin: float,
-    band: tuple,
+    edges: tuple,
 ):
     """(flips, energy) over chunk `chunk` of the run, read off its own words.
 
-    margin bounds |y - delta*s| and band is the quiet band of the noise draws.
+    edges are the run's lattice edges (a, b, c, d), from _edges.
     """
-    from scipy.special import ndtri
-
     n = ops.n
     sigma = config.sigma
     rows = max(1, _SLICE_SIZE // n)
@@ -239,6 +276,7 @@ def _simulate_chunk(
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
     energies = np.empty(take)
+    band = (edges[1], edges[2] - 1)
 
     flips = 0
     for r0 in range(0, take, rows):
@@ -254,15 +292,17 @@ def _simulate_chunk(
         words = noise_words.random_raw((r1 - r0) * n)[: min(count, r1 * n) - r0 * n]
         tails = _tails(words, band)
         sent = positive.ravel()[tails]
-        noise = sigma * ndtri(((words[tails] >> _WORD_SHIFT) + 0.5) * 2.0**-53)
-        v = np.where(sent, ops.delta, -ops.delta) + noise
-        near = np.flatnonzero(np.abs(v) <= 2.0 * margin)
+        k = words[tails] >> _WORD_SHIFT
+        flipped, near = _decide(k, sent, edges)
+        flips += np.count_nonzero(flipped)
+        near = np.flatnonzero(near)
         if near.size:
             block, col = np.divmod(tails[near], n)
             fallback, at = np.unique(block, return_inverse=True)
             x = ops.delta * apply_inverse(ops, signs[fallback])
-            v[near] = apply_channel(ops, x)[at, col] + noise[near]
-        flips += np.count_nonzero((v >= 0) != sent)
+            noise = sigma * np.array([_normal_at(int(i)) for i in k[near]])
+            y = apply_channel(ops, x)[at, col] + noise
+            flips += np.count_nonzero((y >= 0) != sent[near])
     if count < take * n:
         # The run's partial last block: power over its counted samples only.
         x = ops.delta * apply_inverse(ops, signs[-1])
@@ -284,11 +324,10 @@ def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimR
         warnings.warn("fewer than 1000 symbols; the flip-rate estimate will be noisy")
     nchunks = -(-config.num_symbols // (ops.n * _BLOCK_CHUNK))
     key = np.random.Philox(config.seed).state["state"]["key"]
-    margin = _rounding_margin(ops)
-    band = _quiet_band((ops.delta - margin) / config.sigma)
+    edges = _edges(ops.delta, config.sigma, _rounding_margin(ops))
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), nchunks)) as pool:
         results = list(
-            pool.map(lambda c: _simulate_chunk(ops, config, key, c, margin, band), range(nchunks))
+            pool.map(lambda c: _simulate_chunk(ops, config, key, c, edges), range(nchunks))
         )
 
     # A plain left fold in chunk order; sum() compensates floats on Python 3.12+.

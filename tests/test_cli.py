@@ -1,5 +1,6 @@
 """CLI behavior: output formats, exit codes, determinism."""
 
+import json
 import math
 import os
 import runpy
@@ -132,6 +133,26 @@ def test_markov_extreme_taps(capsys, model, taps):
         assert err == capacity[2] == "isicap: the Gram inverse (M_h M_h^T)^{-1} overflows\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["markov", "--grid", "1"],
+        ["markov", "--grid", "1", "--power-model", "finite"],
+        ["capacity", "--grid", "1"],
+        ["energy", "--n", "4"],
+        ["validate", "--sigma", "0.1", "--symbols", "10000"],
+    ],
+)
+def test_overflowing_taps_rejected(capsys, argv):
+    # sum |h_k| = 2e308 is past the largest float, so the gains overflow: the
+    # taps are rejected where they enter, with no warning on the way.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], "--taps", "1e308,1e308", *argv[1:])
+    assert (code, out) == (1, "")
+    assert err == "isicap: the channel gains overflow: sum |h_k| exceeds the largest float\n"
+
+
 def test_energy_summary(capsys):
     code, out, _ = run_cli(capsys, "energy", "--taps", "1,0.2")
     assert code == 0
@@ -237,6 +258,43 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("# isicap energy taps=1.0,0.2")
+
+
+def test_runs_without_scipy():
+    # With scipy blocked from import, every command prints what it prints
+    # with scipy importable.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import contextlib, io, json, sys\n"
+        "if sys.argv[1] == 'blocked':\n"
+        "    sys.modules['scipy'] = None\n"
+        "import isicap.cli\n"
+        "runs = []\n"
+        "for argv in json.loads(sys.argv[2]):\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        runs.append([isicap.cli.main(argv), out.getvalue()])\n"
+        "print(json.dumps(runs))\n"
+    )
+    commands = [
+        ["capacity", "--taps=-0.3,1,0.6", "--grid", "0.7,1.0", "--n", "8"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.9,1.2"],
+        ["markov", "--taps", "1,0.2", "--grid", "0.9,1.2", "--power-model", "finite"],
+        ["energy", "--taps=-0.3,1,0.6", "--n", "8"],
+        ["figures", "fig3"],
+        ["validate", "--taps", "1,0.2", "--sigma", "0.1", "--symbols", "100000"],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    runs = {}
+    for mode in ("blocked", "open"):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, mode, json.dumps(commands)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 0, proc.stderr
+        runs[mode] = json.loads(proc.stdout)
+    assert [run[0] for run in runs["blocked"]] == [0] * len(commands)
+    assert runs["blocked"] == runs["open"]
 
 
 def test_usage_error_exit_code(capsys):

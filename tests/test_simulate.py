@@ -27,8 +27,11 @@ from isicap import (
 import isicap.simulate as simulate
 from isicap.simulate import (
     _BLOCK_CHUNK,
+    _LATTICE,
+    _decide,
+    _edges,
+    _normal_at,
     _positive_signs,
-    _quiet_band,
     _tails,
     _words_at,
 )
@@ -240,7 +243,8 @@ def reference_simulation(ops, config):
         ((1.0, 0.2), 12, 50_003, 0.12, 0.5),
         ((1.0, 0.2), 12, 20_000, 0.12, 0.0),
         ((1.0, 0.2), 12, 20_000, 0.12, 1.0),
-        # Every draw screened; most draws in the tails; an empty band.
+        # Every draw screened; most draws in the tails; a band a few 10^6
+        # draws wide about z = 0.
         ((1.0, 0.2), 12, 20_000, 1e-9, 0.5),
         ((1.0, 0.2), 12, 20_000, 1.0, 0.5),
         ((1.0, 0.2), 12, 20_000, 1e9, 0.5),
@@ -297,8 +301,8 @@ def test_near_tails_fall_back_to_channel_action(monkeypatch, taps, n, symbols, s
 def test_margin_above_delta_empties_the_band(monkeypatch, taps, n):
     ops = build_operators(ChannelSpec(taps, 0.3, n))
     _margin_at(monkeypatch, ops, 1.5)
-    lo, hi = _quiet_band((ops.delta - simulate._rounding_margin(ops)) / 0.1)
-    assert lo > hi
+    _, b, c, _ = _edges(ops.delta, 0.1, simulate._rounding_margin(ops))
+    assert b >= c
     blocks = _spy_on(monkeypatch, "apply_channel")
     cfg = NoisySimConfig(sigma=0.1, num_symbols=n * 200 + 5, seed=29, alpha=0.6)
     assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
@@ -407,27 +411,133 @@ def test_step_flips_match_uniforms(alpha):
     assert np.array_equal(~positive[:, 1], uniforms >= alpha)
 
 
+def _decision_tests(delta, sigma, margin):
+    """The four tests on v = +-delta + sigma*z_k that the edges a, b, c, d
+    split, each false below its edge and true from it on."""
+    bound = 2.0 * margin
+    return [
+        lambda k: delta + sigma * _normal_at(k) >= -bound,
+        lambda k: delta + sigma * _normal_at(k) > bound,
+        lambda k: -delta + sigma * _normal_at(k) >= -bound,
+        lambda k: -delta + sigma * _normal_at(k) > bound,
+    ]
+
+
+def _check_edges(delta, sigma, margin):
+    """Assert that the edges split the four decisions, as the oracle ndtri
+    puts them, and that the noise rises around each; return the edges."""
+    edges = _edges(delta, sigma, margin)
+    a, b, c, d = edges
+    assert 0 <= a <= b <= d < _LATTICE and a <= c <= d
+    tests = _decision_tests(delta, sigma, margin)
+    # Each edge's sign s and threshold t: its test is s*delta + sigma*z >(=) t.
+    thresholds = (-2.0 * margin, 2.0 * margin) * 2
+    for e, holds, s, t in zip(edges, tests, (1, 1, -1, -1), thresholds):
+        # v(e - 1) and v(e) lie on opposite sides of the edge's threshold.
+        assert holds(e)
+        assert e == 0 or not holds(e - 1)
+        # The oracle agrees at an edge inside the lattice: z = (t - s*delta)/sigma
+        # lies between ndtri(u_{e-1}) and ndtri(u_e), up to their rounding.
+        if 0 < e < _LATTICE - 1:
+            target = (t - s * delta) / sigma
+            below, above = ndtri((np.array([e - 1, e]) + 0.5) * 2.0**-53)
+            assert below - 1e-12 * abs(below) <= target <= above + 1e-12 * abs(above)
+        # Around the edge the noise rises, and each test changes only there.
+        k = np.arange(max(e - 1000, 0), min(e + 1001, _LATTICE))
+        z = np.array([_normal_at(int(i)) for i in k])
+        steps = np.diff(z)
+        if np.all(np.abs(z) > 1.5):
+            # Outside the centre of the law the standard library's inverse
+            # normal CDF is nondecreasing on the lattice.
+            assert np.all(steps >= 0)
+        else:
+            # Inside it, a step may fall by two units in the last place,
+            # far below any margin.
+            assert np.all(steps >= -2 * np.spacing(np.abs(z[1:])))
+        assert [holds(int(i)) for i in k] == list(k >= e)
+    return edges
+
+
 @pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 3.0, 8.0])
 def test_quiet_band_edges(x):
-    lo, hi = _quiet_band(x)
-    assert 0 < lo <= hi < 1 << 53
-    edges = ndtri((np.array([lo, hi]) + 0.5) * 2.0**-53)
-    assert np.all(np.abs(edges) < x)
-    # Only the margin and the rounding up separate the band from Q(x).
+    # sigma puts the band's ends at |z| = x; the band [b, c - 1] holds the
+    # draws with |sigma * z| < delta - 2*margin, its ends where the oracle
+    # ndtri puts them, to within one draw.
+    delta, margin = 0.3, 1e-9
+    sigma = (delta - 2.0 * margin) / x
+    _, b, c, _ = _check_edges(delta, sigma, margin)
+    assert 0 < b < c < _LATTICE
     tail = q_function(x) * 2.0**53
-    assert tail <= lo <= tail * (1.0 + 1e-8) + 1.0
+    assert abs(b - tail) <= 1 and abs((_LATTICE - c) - tail) <= 1
+
+
+# (sigma, margin / delta): all draws but the top one quiet, a band narrow
+# about z = 0, and near regions some 10^13 to 10^15 draws wide.
+@pytest.mark.parametrize("sigma, fraction", [(1e-9, 1e-8), (1e9, 1e-8), (0.1, 0.1), (1.0, 0.3)])
+def test_edges_split_the_decisions(sigma, fraction):
+    _check_edges(0.3, sigma, fraction * 0.3)
+
+
+@pytest.mark.parametrize("sigma, fraction", [(0.1, 1e-8), (1.0, 0.3), (1e-9, 1e-8)])
+def test_decisions_at_the_edges(sigma, fraction):
+    # The draws on and beside each edge, sent as +1 and as -1, are decided
+    # as v = +-delta + sigma*z_k decides them: a flip beyond 2*margin on the
+    # far side of 0, near within 2*margin of 0.
+    delta, margin = 0.3, fraction * 0.3
+    edges = _edges(delta, sigma, margin)
+    k = sorted({e + i for e in edges for i in (-1, 0, 1) if 0 <= e + i < _LATTICE})
+    k = np.array(k * 2, dtype=np.uint64)
+    sent = np.repeat([True, False], k.size // 2)
+    v = np.where(sent, delta, -delta) + sigma * np.array([_normal_at(int(i)) for i in k])
+    flipped, near = _decide(k, sent, edges)
+    assert flipped.tolist() == list(np.where(sent, v < -2 * margin, v > 2 * margin))
+    assert near.tolist() == list(np.abs(v) <= 2 * margin)
+
+
+def test_top_draw_is_infinite():
+    # k + 0.5 rounds up to 2^53 on the top draw, so u = 1.
+    assert _normal_at(_LATTICE - 1) == math.inf
+    assert _normal_at(_LATTICE - 2) == pytest.approx(ndtri(1.0 - 1.5 * 2.0**-53), rel=1e-14)
+    assert _normal_at(0) == pytest.approx(ndtri(2.0**-54), rel=1e-14)
+    assert _normal_at(1 << 52) == 0.0 < _normal_at((1 << 52) + 1)
 
 
 def test_quiet_band_empty_at_zero():
-    lo, hi = _quiet_band(0.0)
-    assert lo > hi
+    # x = (delta - 2*margin)/sigma = 0, or below: with 2*margin >= delta no
+    # v = +-delta + sigma*z lies beyond 2*margin on both sides at once, and
+    # every draw is a tail, whatever sigma.
+    delta = 0.3
+    words = np.arange(0, 1 << 64, 1 << 59, dtype=np.uint64)
+    for sigma, fraction in [(1e-9, 0.5), (0.1, 0.5), (1.0, 1.0), (1e9, 1.5)]:
+        _, b, c, _ = _edges(delta, sigma, fraction * delta)
+        assert b >= c
+        assert _tails(words, (b, c - 1)).size == words.size
+
+
+def test_band_narrow_at_huge_sigma():
+    # At sigma = 1e9 the band is the 2 * 0.3e-9 / (sqrt(2 pi) 2^-53) or so
+    # draws around z = 0 whose |sigma * z| stays below delta - 2*margin; at
+    # sigma = 1e16 it is the one draw k = 2^52, whose z is 0.
+    delta, sigma, margin = 0.3, 1e9, 3e-9
+    _, b, c, _ = _edges(delta, sigma, margin)
+    width = 2.0 * (delta - 2.0 * margin) / sigma / (math.sqrt(2.0 * math.pi) * 2.0**-53)
+    assert c - b == pytest.approx(width, rel=1e-6)
+    assert _edges(delta, 1e16, margin)[1:3] == (1 << 52, (1 << 52) + 1)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, 3.0, 1e9])
-def test_tails_at_the_band_edges(x):
-    # x = 0 empties the band; x = 1e9 (sigma tiny) puts its lower edge at 0.
-    lo, hi = _quiet_band(x)
+def test_tails_at_the_band_edges(monkeypatch, two_tap_ops, x):
+    # sigma puts the band's ends at |z| = x.  x = 0 (a margin of delta/2)
+    # empties the band; x = 1e9 (sigma tiny) puts its lower edge at 0 and its
+    # upper one below the top draw, whose noise is +inf.
+    delta = two_tap_ops.delta
+    if x == 0.0:
+        _margin_at(monkeypatch, two_tap_ops, 0.5)
+    margin = simulate._rounding_margin(two_tap_ops)
+    _, lo, c, _ = _edges(delta, (delta - 2.0 * margin) / x if x else 1.0, margin)
+    hi = c - 1
     assert (lo == 0) == (x == 1e9)
+    assert (lo > hi) == (x == 0.0)
     low, high = lo << 11, (hi << 11) | 0x7FF
     edges = [low - 1, low, low + 1, high - 1, high, high + 1, 0, (1 << 64) - 1]
     words = np.array([w % (1 << 64) for w in edges], dtype=np.uint64)
@@ -437,16 +547,24 @@ def test_tails_at_the_band_edges(x):
     # Just off each edge is a tail, and so is word 0 unless the band starts at 0.
     if lo <= hi:
         assert expected == ([0, 5, 7] if lo == 0 else [0, 5, 6, 7])
+    if x == 1e9:
+        assert hi == _LATTICE - 2
 
 
 def test_import_leaves_scipy_unloaded():
+    # Neither the import nor a validate run loads scipy.
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
-        "import sys, isicap; print(sorted(m for m in sys.modules"
-        " if m.startswith('scipy') or m == 'concurrent.futures'))"
+        "import io, sys, contextlib, isicap, isicap.cli\n"
+        "print(sorted(m for m in sys.modules"
+        " if m.startswith('scipy') or m == 'concurrent.futures'))\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    isicap.cli.main(['validate', '--taps', '1,0.2', '--sigma', '0.1',"
+        " '--symbols', '20000'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), check=True,
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
