@@ -138,8 +138,8 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
     mags = np.abs(gains)
     if np.min(mags) <= SINGULAR_TOL * np.max(mags):
         raise SingularChannel(
-            f"|f| ranges over [{np.min(mags):.3e}, {np.max(mags):.3e}]; "
-            "channel matrix is numerically singular"
+            f"|f| ranges over [{np.min(mags):.3e}, {np.max(mags):.3e}] on {n} frequencies: "
+            "the channel matrix is numerically singular and the zero-forcing power is unbounded"
         )
 
     # An |f|^2 that underflows makes the weight and the generator non-finite,

@@ -46,6 +46,7 @@ Kessler and Maiorana, built in numpy one level (word length) at a time.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -314,7 +315,10 @@ def energy(ops: ChannelOperators, s, gap_tol=None) -> EnergySolution:
     """Certified E(s): the closed form where it is optimal, else the QP optimum
     by the active-set method started from it.  The result is certified by
     primal feasibility and the duality gap (at rounding level the gap can be
-    negative).  gap_tol bounds the gap, by default 1e-8 * max(1, E)."""
+    negative).  gap_tol bounds the gap, by default 1e-8 * max(1, E); any
+    other value must be a real number >= 0 (inf included)."""
+    if gap_tol is not None and not (isinstance(gap_tol, numbers.Real) and gap_tol >= 0):
+        raise ValueError(f"gap_tol must be None or a real number >= 0, got {gap_tol!r}")
     s = _as_pattern(ops.n, s)
     z, e, dual, gap = _solve(ops, s[None, :], gap_tol=gap_tol)
     return EnergySolution(float(e[0]), apply_inverse(ops, s * z)[0], dual[0], float(gap[0]))

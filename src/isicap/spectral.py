@@ -5,11 +5,12 @@ unit circle, so it reads off the cosine coefficients
 
     g_d = 1/(2*pi) * integral 1/|f(lam)|^2 cos(d*lam) dlam.
 
-For a channel without spectral nulls these decay geometrically, at a rate
-set by the root of f nearest the unit circle.  A uniform grid of m samples
-therefore gives g_0 .. g_{m/4} to round-off once the upper quarter of its
-spectrum has decayed to round-off, since aliasing folds in only g_{3m/4}
-and beyond.  The zero-forcing power ceiling is
+They are build_operators' Gram generator on a ring of m samples, up to
+aliasing (its entry d holds g_d + g_{m-d} + g_{m+d} + ...).  For a channel
+without spectral nulls they decay geometrically, at a rate set by the root
+of f nearest the unit circle, so the ring gives g_0 .. g_{m/4} to round-off
+once its entries m/4 .. m/2 are round-off too; the ring doubles until then.  The
+zero-forcing power ceiling is
 
     Pbar = delta^2/(2*pi) * integral 1/|f(lam)|^2 dlam = delta^2 * g_0,
 
@@ -19,8 +20,8 @@ Pbar = delta^2/(1-eps^2) and floor Pmin = delta^2/(1+eps)^2.
 
 import numpy as np
 
-from .channel import SINGULAR_TOL, ChannelSpec, _check_delta, frequency_response
-from .exceptions import QuadratureFailure, SingularChannel
+from .channel import ChannelSpec, _check_delta, build_operators
+from .exceptions import QuadratureFailure
 
 # Coefficients at or below this fraction of max 1/|f|^2 are FFT round-off.
 ROUNDOFF_FLOOR = 1e-15
@@ -33,27 +34,17 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
     """Cosine coefficients g_0 .. g_D of 1/|f|^2, cut after the last one above
     round-off.
 
-    Doubles a uniform sample grid until the upper quarter of the sampled
-    spectrum is at or below ROUNDOFF_FLOOR * max 1/|f|^2, keeping g_0.  Raises
-    SingularChannel where build_operators does (min |f| on a grid below
-    SINGULAR_TOL * max |f|, or 1/|f|^2 overflowing), and QuadratureFailure if
-    the coefficients have not decayed by _GRID_MAX samples.
+    Doubles the ring m of build_operators(ChannelSpec(taps, delta, m)), from
+    the least power of two >= max(_GRID_START, len(taps)), until its
+    generator's entries m/4 .. m/2 are at or below ROUNDOFF_FLOOR *
+    max 1/|f|^2, keeping g_0.  Raises SingularChannel where build_operators
+    does, and QuadratureFailure if they have not decayed by _GRID_MAX samples.
     """
-    m = _GRID_START
+    m = max(_GRID_START, 1 << (len(spec.taps) - 1).bit_length())
     while True:
-        mags = np.abs(frequency_response(spec, 2.0 * np.pi * np.arange(m) / m))
-        if np.min(mags) <= SINGULAR_TOL * np.max(mags):
-            raise SingularChannel(
-                f"|f| ranges over [{np.min(mags):.3e}, {np.max(mags):.3e}] on "
-                f"{m} frequencies; the zero-forcing power is unbounded"
-            )
-        # An overflowing |f|^2 gives 1/|f|^2 = 0, an underflowing one inf.
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = 1.0 / mags**2
-            coeffs = np.fft.rfft(vals).real / m
-        if not np.all(np.isfinite(coeffs)):
-            raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
-        floor = ROUNDOFF_FLOOR * np.max(vals)
+        ops = build_operators(ChannelSpec(spec.taps, spec.delta, m))
+        coeffs = ops.gram_generator[: m // 2 + 1]
+        floor = ROUNDOFF_FLOOR * np.max(ops.spec_weight)
         if np.max(np.abs(coeffs[m // 4 :])) <= floor:
             break
         if m >= _GRID_MAX:
@@ -62,7 +53,7 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
                 f"within {_GRID_MAX} grid points"
             )
         m *= 2
-    return coeffs[: 1 + np.max(np.flatnonzero(np.abs(coeffs) > floor), initial=0)]
+    return coeffs[: 1 + np.max(np.flatnonzero(np.abs(coeffs) > floor), initial=0)].copy()
 
 
 def pbar_asymptotic(spec: ChannelSpec) -> float:

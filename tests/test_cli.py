@@ -133,16 +133,17 @@ def test_markov_extreme_taps(capsys, model, taps):
         assert err == capacity[2] == "isicap: the Gram inverse (M_h M_h^T)^{-1} overflows\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["markov", "--grid", "1"],
-        ["markov", "--grid", "1", "--power-model", "finite"],
-        ["capacity", "--grid", "1"],
-        ["energy", "--n", "4"],
-        ["validate", "--sigma", "0.1", "--symbols", "10000"],
-    ],
-)
+# Every subcommand that takes --taps, each with its other arguments.
+TAPS_COMMANDS = [
+    ["markov", "--grid", "1"],
+    ["markov", "--grid", "1", "--power-model", "finite"],
+    ["capacity", "--grid", "1"],
+    ["energy", "--n", "4"],
+    ["validate", "--sigma", "0.1", "--symbols", "10000"],
+]
+
+
+@pytest.mark.parametrize("argv", TAPS_COMMANDS)
 def test_overflowing_taps_rejected(capsys, argv):
     # sum |h_k| = 2e308 is past the largest float, so the gains overflow: the
     # taps are rejected where they enter, with no warning on the way.
@@ -151,6 +152,18 @@ def test_overflowing_taps_rejected(capsys, argv):
         code, out, err = run_cli(capsys, argv[0], "--taps", "1e308,1e308", *argv[1:])
     assert (code, out) == (1, "")
     assert err == "isicap: the channel gains overflow: sum |h_k| exceeds the largest float\n"
+
+
+@pytest.mark.parametrize("argv", TAPS_COMMANDS)
+def test_singular_channel_one_rule(capsys, argv):
+    # (1, 1) has a null at lam = pi.  build_operators alone calls a channel
+    # singular, on the block's DFT grid or on the asymptotic series' ring,
+    # and every subcommand reports it in the same words.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, argv[0], "--taps", "1,1", *argv[1:])
+    assert (code, out) == (1, "")
+    assert "numerically singular and the zero-forcing power is unbounded" in err
 
 
 def test_energy_summary(capsys):

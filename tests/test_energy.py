@@ -217,6 +217,18 @@ def test_qp_nonconvergence_surfaces(monkeypatch):
     assert err.value.gap is not None and err.value.gap > 1e-16
 
 
+@pytest.mark.parametrize("gap_tol", [math.nan, -1.0, -math.inf, "x", 1j])
+def test_bad_gap_tol_rejected(two_tap_ops, gap_tol):
+    # A tolerance no gap can meet is a bad argument, not a solver failure.
+    with pytest.raises(ValueError, match="gap_tol"):
+        energy(two_tap_ops, np.ones(12), gap_tol=gap_tol)
+
+
+@pytest.mark.parametrize("gap_tol", [1e-10, 1, np.float32(1e-6), math.inf])
+def test_gap_tol_accepts_nonnegative_reals(two_tap_ops, gap_tol):
+    assert energy(two_tap_ops, np.ones(12), gap_tol=gap_tol).energy == pytest.approx(0.75)
+
+
 def test_energy_dispatcher(two_tap_ops, three_tap_ops):
     # delta^2 s'Gs is E(s) exactly when its dual 2*delta*diag(s)*G*s is
     # nonnegative; otherwise the certified optimum lies strictly below it.

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import isicap.spectral as spectral
@@ -9,6 +10,7 @@ from isicap import (
     ChannelSpec,
     QuadratureFailure,
     SingularChannel,
+    frequency_response,
     inverse_spectrum_coeffs,
     pbar_asymptotic,
     pbar_two_tap,
@@ -74,3 +76,46 @@ def test_spectral_null_rejected(taps):
         inverse_spectrum_coeffs(spec)
     with pytest.raises(SingularChannel):
         pbar_asymptotic(spec)
+
+
+def reference_coeffs(spec):
+    """The series sampled on its own doubling grid of f(2*pi*k/m), by the
+    complex-exponential sum, with the same stop rule and truncation."""
+    m = 64
+    while True:
+        vals = 1.0 / np.abs(frequency_response(spec, 2.0 * np.pi * np.arange(m) / m)) ** 2
+        coeffs = np.fft.rfft(vals).real / m
+        floor = spectral.ROUNDOFF_FLOOR * np.max(vals)
+        if np.max(np.abs(coeffs[m // 4 :])) <= floor:
+            break
+        m *= 2
+    return coeffs[: 1 + np.max(np.flatnonzero(np.abs(coeffs) > floor), initial=0)]
+
+
+@pytest.mark.parametrize(
+    "taps",
+    [
+        (1.0, 0.2),
+        (1.0, 0.8),
+        (-0.3, 1.0, 0.6),
+        (0.5, -1.0, 0.9, 0.3),
+        tuple(0.5**k for k in range(100)),
+    ],
+)
+def test_ring_generator_matches_sampled_series(taps):
+    # The ring of build_operators gives the series the grid sampler gave,
+    # term for term and to the same length, as a fresh writable array.
+    spec = ChannelSpec(taps, 0.3, len(taps))
+    g = inverse_spectrum_coeffs(spec)
+    ref = reference_coeffs(spec)
+    assert g.shape == ref.shape
+    assert np.max(np.abs(g - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert g.flags.writeable and g.flags.owndata
+
+
+def test_hundred_tap_geometric_channel():
+    # sum_k 0.5^k e^{jk lam} is 1/(1 - e^{j lam}/2) up to a 2^-100 term, so
+    # 1/|f|^2 = 5/4 - cos(lam): the series is (1.25, -0.5).
+    g = inverse_spectrum_coeffs(ChannelSpec(tuple(0.5**k for k in range(100)), 0.3, 100))
+    assert g.shape == (2,)
+    assert g == pytest.approx([1.25, -0.5], abs=1e-15)
