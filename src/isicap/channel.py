@@ -123,17 +123,17 @@ def frequency_response(spec: ChannelSpec, lam):
     return complex(vals[0]) if np.ndim(lam) == 0 else vals
 
 
-def build_operators(spec: ChannelSpec) -> ChannelOperators:
-    """Construct the circulant operators, or raise SingularChannel.
+def _gram_spectrum(taps, n: int):
+    """The DFT gains conj(f(2*pi*k/N)), the weights 1/|f|^2 and the Gram
+    generator IDFT(1/|f|^2) of taps on a ring of n >= len(taps) samples, or
+    SingularChannel.
 
     The first circulant column is the zero-padded tap vector, whose DFT gives
-    the eigenvalues conj(f(2*pi*k/N)); the gram generator is IDFT(1/|f|^2).
+    the eigenvalues conj(f(2*pi*k/N)).
     """
-    n = spec.block_len
     col = np.zeros(n)
-    col[: len(spec.taps)] = spec.taps
-    fft_col = np.fft.fft(col)
-    gains = np.conj(fft_col)
+    col[: len(taps)] = taps
+    gains = np.conj(np.fft.fft(col))
 
     mags = np.abs(gains)
     if np.min(mags) <= SINGULAR_TOL * np.max(mags):
@@ -145,10 +145,16 @@ def build_operators(spec: ChannelSpec) -> ChannelOperators:
     # An |f|^2 that underflows makes the weight and the generator non-finite,
     # which the check below rejects, so numpy's warnings on the way are moot.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        weight = 1.0 / np.abs(fft_col) ** 2
+        weight = 1.0 / mags**2
         gram_gen = np.fft.ifft(weight).real
     if not np.all(np.isfinite(gram_gen)):
         raise SingularChannel("the Gram inverse (M_h M_h^T)^{-1} overflows")
+    return gains, weight, gram_gen
+
+
+def build_operators(spec: ChannelSpec) -> ChannelOperators:
+    """Construct the circulant operators, or raise SingularChannel."""
+    gains, weight, gram_gen = _gram_spectrum(spec.taps, spec.block_len)
 
     # Diagonal dominance of the circulant G reads off its generator:
     # g_0 >= sum_{k>=1} |g_k|, with slack so exact ties classify as dominant.

@@ -35,14 +35,19 @@ multipliers take an FFT, one per pivot.  Each result carries x*, the dual mu
 and their duality gap; with z >= delta they certify it.
 
 The code of a pattern is the integer whose big-endian bits map 1 -> +1 and
-0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), so an
-exhaustive profile solves one pattern per orbit under rotation and negation
-(26,272 orbits for the 2^20 patterns at N = 20).  Negating s leaves its
-cyclic sign-change word d_i = s_i xor s_{i+1} (i mod N) unchanged, rotating
-s rotates d, and an even-weight d has exactly the preimages s and -s: the
-orbits are the even-weight binary necklaces, of 2 * period(d) patterns
-each.  The necklaces come from the tree of prenecklaces of Fredricksen,
-Kessler and Maiorana, built in numpy one level (word length) at a time.
+0 -> -1.  A circulant channel gives E(s) = E(shift(s)) = E(-s), and also
+E(s) = E(reverse(s)): the QP for the reversed pattern is the QP for s under
+M_h^T, whose Gram matrix (M_h^T M_h)^{-1} is G because circulants commute.
+So an exhaustive profile solves one pattern per orbit under rotation,
+negation and reversal (13,648 orbits for the 2^20 patterns at N = 20).
+Negating s leaves its cyclic sign-change word d_i = s_i xor s_{i+1}
+(i mod N) unchanged, rotating s rotates d, reversing s reverses d up to a
+rotation, and an even-weight d has exactly the preimages s and -s: the
+orbits are the even-weight binary bracelets (necklaces up to reversal).  A
+bracelet holds 2 * period(d) patterns when d's necklace is its own
+reversal's, else 4 * period(d).  The necklaces come from the tree of
+prenecklaces of Fredricksen, Kessler and Maiorana, built in numpy one level
+(word length) at a time.
 """
 
 import math
@@ -66,7 +71,7 @@ DUAL_TOL = 1e-12
 MIN_TIE_TOL = 1e-9
 
 # Orbits per chunk of an exhaustive profile: 2^12 rows give one chunk for
-# every N <= 17, and at N = 20 a chunk's temporaries (about 0.7 MB each) fit
+# every N <= 18, and at N = 20 a chunk's temporaries (about 0.7 MB each) fit
 # a core's L2.
 _CHUNK = 1 << 12
 
@@ -88,11 +93,12 @@ class EnergySolution:
 class EnergyProfile:
     """Exhaustive energy landscape over the 2^N sign patterns, stored per orbit.
 
-    orbit_codes[i] is the member of orbit i under rotation and negation with
-    entry 0 = -1 whose sign-change word is the i-th even-weight necklace (the
-    necklaces increase with i), multiplicity[i] the orbit's size and
-    orbit_energies[i] its energy.  min_count is the number of patterns tied
-    with e_min within MIN_TIE_TOL relative.
+    orbit_codes[i] is the member of orbit i under rotation, negation and
+    reversal with entry 0 = -1 whose sign-change word is the i-th even-weight
+    necklace not above its reversal's (the necklaces increase with i),
+    multiplicity[i] the orbit's size and orbit_energies[i] its energy, which
+    every member takes, reversed ones included.  min_count is the number of
+    patterns tied with e_min within MIN_TIE_TOL relative.
     """
 
     n: int
@@ -109,9 +115,10 @@ class EnergyProfile:
         """Read-only E per code, all 2^N of them, built on first access."""
         full = np.empty(1 << self.n)
         mask = (1 << self.n) - 1
-        for rotated in _rotations(self.orbit_codes, self.n):
-            full[rotated] = self.orbit_energies
-            full[rotated ^ mask] = self.orbit_energies
+        for codes in (self.orbit_codes, _reversed(self.orbit_codes, self.n)):
+            for rotated in _rotations(codes, self.n):
+                full[rotated] = self.orbit_energies
+                full[rotated ^ mask] = self.orbit_energies
         full.flags.writeable = False
         return full
 
@@ -340,6 +347,15 @@ def _rotations(codes: np.ndarray, n: int):
         yield turned
 
 
+def _reversed(codes: np.ndarray, n: int) -> np.ndarray:
+    """The n-bit codes with their bits in reverse order (n <= 32): five
+    mask-and-shift swaps reverse the low 32 bits, and the top n are kept."""
+    for shift, mask in ((1, 0x55555555), (2, 0x33333333), (4, 0x0F0F0F0F),
+                        (8, 0x00FF00FF), (16, 0x0000FFFF)):
+        codes = ((codes >> shift) & mask) | ((codes & mask) << shift)
+    return codes >> (32 - n)
+
+
 def _necklaces(n: int):
     """Binary necklaces of length n in increasing order, with their periods.
 
@@ -369,17 +385,29 @@ def _necklaces(n: int):
 
 
 def _orbits(n: int):
-    """One code per orbit of {-1, +1}^n under rotation and negation, and the
-    orbit sizes (they sum to 2^n).  Orbit i's code has entry 0 = -1 and the
-    i-th even-weight necklace as its sign-change word: bit j below the top is
-    the xor of the necklace's top j bits, the inverse Gray code (n <= 32)
-    shifted right by one."""
+    """One code per orbit of {-1, +1}^n under rotation, negation and reversal,
+    and the orbit sizes (they sum to 2^n).
+
+    The orbits are the even-weight bracelets of the sign-change word: an
+    even-weight necklace w is kept when it is not above the least rotation
+    of its reversal, and its orbit holds 2 * period(w) patterns when w is
+    that rotation (reversal maps the orbit to itself), else 4 * period(w).
+    Orbit i's code has entry 0 = -1 and the i-th kept necklace as its
+    sign-change word: bit j below the top is the xor of the necklace's top j
+    bits, the inverse Gray code (n <= 32) shifted right by one."""
     words, periods = _necklaces(n)
     even = np.bitwise_count(words) % 2 == 0
-    codes = words[even]
+    words, periods = words[even], periods[even]
+    mirror = _reversed(words, n)
+    least = mirror.copy()
+    for turned in _rotations(mirror, n):
+        np.minimum(least, turned, out=least)
+    keep = words <= least
+    codes, periods = words[keep], periods[keep]
+    sizes = np.where(codes == least[keep], 2, 4) * periods
     for shift in (1, 2, 4, 8, 16):
         codes ^= codes >> shift
-    return codes >> 1, 2 * periods[even]
+    return codes >> 1, sizes
 
 
 def _screen_failures(ops: ChannelOperators, pats: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -399,7 +427,7 @@ def _screen_failures(ops: ChannelOperators, pats: np.ndarray, gram: np.ndarray) 
 
 def enumerate_profile(ops: ChannelOperators) -> EnergyProfile:
     """E(s) for every pattern of length N (N <= ENUMERATION_CAP), one solve per
-    orbit under rotation and negation."""
+    orbit under rotation, negation and reversal."""
     n = ops.n
     if n > ENUMERATION_CAP:
         raise TooLarge(f"exhaustive enumeration capped at N={ENUMERATION_CAP}")

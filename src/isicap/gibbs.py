@@ -16,11 +16,12 @@ the mass sits uniformly on the minimizers; between floor and mean a unique
 interior beta solves <E> = N*P; at or above the mean the uniform distribution
 wins and the rate saturates at 1 bit/use.
 
-The sums over patterns run over the profile's orbits under rotation and
-negation, each term weighted by the orbit's size.  ln Z is convex in beta and
-d<E>/dbeta = -Var(E)/N, so one weighted pass gives both the residual of
-<E> = N*P and its derivative; the interior beta is found by Newton steps kept
-inside a bracket, with bisection or doubling whenever a step leaves it.
+The sums over patterns run over the profile's orbits under rotation,
+negation and reversal, each term weighted by the orbit's size.  ln Z is
+convex in beta and d<E>/dbeta = -Var(E)/N, so one weighted pass gives both
+the residual of <E> = N*P and its derivative; the interior beta is found by
+Newton steps kept inside a bracket, with bisection or doubling whenever a
+step leaves it.
 
 A capacity curve solves all its interior points as one array Newton: each pass
 evaluates the moments once per distinct live beta, as a (beta x orbit) block

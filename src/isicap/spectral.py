@@ -20,7 +20,7 @@ Pbar = delta^2/(1-eps^2) and floor Pmin = delta^2/(1+eps)^2.
 
 import numpy as np
 
-from .channel import ChannelSpec, _check_delta, build_operators
+from .channel import ChannelSpec, _check_delta, _gram_spectrum
 from .exceptions import QuadratureFailure
 
 # Coefficients at or below this fraction of max 1/|f|^2 are FFT round-off.
@@ -34,17 +34,18 @@ def inverse_spectrum_coeffs(spec: ChannelSpec) -> np.ndarray:
     """Cosine coefficients g_0 .. g_D of 1/|f|^2, cut after the last one above
     round-off.
 
-    Doubles the ring m of build_operators(ChannelSpec(taps, delta, m)), from
-    the least power of two >= max(_GRID_START, len(taps)), until its
-    generator's entries m/4 .. m/2 are at or below ROUNDOFF_FLOOR *
-    max 1/|f|^2, keeping g_0.  Raises SingularChannel where build_operators
-    does, and QuadratureFailure if they have not decayed by _GRID_MAX samples.
+    Doubles the ring m of the spectrum build_operators reads
+    (channel._gram_spectrum of the taps on m samples), from the least power
+    of two >= max(_GRID_START, len(taps)), until its generator's entries
+    m/4 .. m/2 are at or below ROUNDOFF_FLOOR * max 1/|f|^2, keeping g_0.
+    Raises SingularChannel where build_operators does, and QuadratureFailure
+    if they have not decayed by _GRID_MAX samples.
     """
     m = max(_GRID_START, 1 << (len(spec.taps) - 1).bit_length())
     while True:
-        ops = build_operators(ChannelSpec(spec.taps, spec.delta, m))
-        coeffs = ops.gram_generator[: m // 2 + 1]
-        floor = ROUNDOFF_FLOOR * np.max(ops.spec_weight)
+        _, weight, generator = _gram_spectrum(spec.taps, m)
+        coeffs = generator[: m // 2 + 1]
+        floor = ROUNDOFF_FLOOR * np.max(weight)
         if np.max(np.abs(coeffs[m // 4 :])) <= floor:
             break
         if m >= _GRID_MAX:

@@ -294,6 +294,8 @@ def test_runs_without_scipy():
         ["markov", "--taps", "1,0.2", "--grid", "0.9,1.2"],
         ["markov", "--taps", "1,0.2", "--grid", "0.9,1.2", "--power-model", "finite"],
         ["energy", "--taps=-0.3,1,0.6", "--n", "8"],
+        ["energy", "--taps=-0.3,1,0.6", "--n", "12", "--dump-energies"],
+        ["capacity", "--taps", "1,0.2", "--n", "20", "--grid", "0.72:1.0:8"],
         ["figures", "fig3"],
         ["validate", "--taps", "1,0.2", "--sigma", "0.1", "--symbols", "100000"],
     ]

@@ -32,6 +32,7 @@ from isicap.energy import (
     MIN_TIE_TOL,
     _necklaces,
     _orbits,
+    _reversed,
     _rotations,
 )
 from tests.test_acceptance import _nnls_energy
@@ -39,8 +40,8 @@ from tests.test_channel import circulant_matrix
 
 DELTA = 0.3
 
-# Orbits of {-1, +1}^N under rotation and negation, by Burnside's lemma.
-ORBIT_COUNTS = {12: 180, 14: 596, 16: 2068, 20: 26272, 22: 95420, 24: 349716}
+# Orbits of {-1, +1}^N under rotation, negation and reversal (OEIS A000011).
+ORBIT_COUNTS = {12: 122, 14: 362, 16: 1162, 20: 13648, 22: 48734, 24: 176906}
 
 # The package exports a function named energy, which hides the submodule.
 energy_module = importlib.import_module("isicap.energy")
@@ -506,16 +507,16 @@ def test_screened_chunks_skip_the_solver(monkeypatch, two_tap_ops):
         raise AssertionError("the QP ran on a chunk that passed the screen")
 
     monkeypatch.setattr(energy_module, "_solve", fail)
-    assert enumerate_profile(two_tap_ops).orbit_energies.size == 180
+    assert enumerate_profile(two_tap_ops).orbit_energies.size == 122
 
 
 def _profile_fields(prof):
     return prof.orbit_energies.tobytes(), prof.e_mean, prof.min_count
 
 
-# (1, 0.8) at N = 14 sends orbits to the QP; (1, 0.2) at N = 17 has 3,856
-# orbits, in 964 chunks of 4 or in three of 2^10 and a partial last one.
-# Chunks of 3001 and 3449 rows (4k + 1) split the 26,272 orbits at N = 20
+# (1, 0.8) at N = 14 sends orbits to the QP; (1, 0.2) at N = 17 has 2,056
+# orbits, in 514 chunks of 4 or in two of 2^10 and a partial last one.
+# Chunks of 3001 and 3449 rows (4k + 1) split the 13,648 orbits at N = 20
 # with a ragged last chunk, which rounded its last rows differently when the
 # energies went through a BLAS matrix-vector product.
 @pytest.mark.parametrize("taps, n", [((1.0, 0.8), 14), ((1.0, 0.2), 17), ((1.0, 0.2), 20)])
@@ -527,8 +528,9 @@ def test_profile_bits_do_not_depend_on_chunk_size(monkeypatch, taps, n):
         assert _profile_fields(enumerate_profile(ops)) == want
 
 
-@pytest.mark.parametrize("n", [19, 20])
-def test_chunked_energies_equal_one_call_over_all_orbits(n):
+@pytest.mark.parametrize("n", [20, 21])
+def test_chunked_energies_equal_one_call_over_all_orbits(monkeypatch, n):
+    monkeypatch.setattr(energy_module, "ENUMERATION_CAP", n)
     ops = build_operators(ChannelSpec((1.0, 0.2), DELTA, n))
     prof = enumerate_profile(ops)
     whole = _block_energies(ops, pattern_from_code(prof.orbit_codes, n))
@@ -557,7 +559,7 @@ def test_qp_property_against_nnls(case, shift):
     sol = solve_energy_qp(ops, s)
     _assert_certified(ops, m, g, s, sol)
     assert sol.energy == pytest.approx(_nnls_energy(g, s, DELTA), rel=1e-9)
-    for other in (np.roll(s, shift), -s):
+    for other in (np.roll(s, shift), -s, s[::-1]):
         moved = solve_energy_qp(ops, other)
         _assert_certified(ops, m, g, other, moved)
         assert moved.energy == pytest.approx(sol.energy, rel=1e-12)
@@ -675,8 +677,10 @@ def test_profile_energies_read_only(two_tap_profile):
 @pytest.mark.parametrize("n, count", ORBIT_COUNTS.items())
 def test_orbit_counts_match_burnside(n, count):
     # Entry 0 of each representative is -1, and the sign-change words
-    # s_i xor s_{i+1} of the representatives are the even-weight necklaces in
-    # increasing order, each orbit twice its word's period in size.
+    # s_i xor s_{i+1} of the representatives are, in increasing order, the
+    # even-weight necklaces not above the least rotation of their reversal.
+    # An orbit is twice its word's period in size when the word is that
+    # rotation, else four times.
     codes, mult = _orbits(n)
     assert codes.size == count
     assert int(mult.sum()) == 1 << n
@@ -684,8 +688,12 @@ def test_orbit_counts_match_burnside(n, count):
     words = codes ^ (((codes << 1) | (codes >> (n - 1))) & ((1 << n) - 1))
     necklaces, periods = _fkm_necklaces(n)
     even = np.bitwise_count(necklaces) % 2 == 0
-    np.testing.assert_array_equal(words, necklaces[even])
-    np.testing.assert_array_equal(mult, 2 * periods[even])
+    necklaces, periods = necklaces[even], periods[even]
+    mirror = _least_rotation(_mirrored(necklaces, n), n)
+    kept = necklaces <= mirror
+    np.testing.assert_array_equal(words, necklaces[kept])
+    sizes = np.where(necklaces == mirror, 2, 4) * periods
+    np.testing.assert_array_equal(mult, sizes[kept])
 
 
 @functools.cache
@@ -725,9 +733,25 @@ def _shifted_rotations(codes, n):
     return np.array([((codes << k) | (codes >> (n - k))) & mask for k in range(n)])
 
 
+def _mirrored(codes, n):
+    """Each n-bit code with its bits in reverse order, one bit at a time."""
+    return sum(((codes >> i) & 1) << (n - 1 - i) for i in range(n))
+
+
+def _least_rotation(codes, n):
+    """The least rotation of each n-bit code, by a running minimum."""
+    least = codes.copy()
+    for turned in _shifted_rotations(codes, n):
+        np.minimum(least, turned, out=least)
+    return least
+
+
 def _canonical(codes, n):
-    """The least of the 2n images of each code under rotation and negation."""
-    rotations = _shifted_rotations(codes, n)
+    """The least of the 4n images of each code under rotation, negation and
+    reversal."""
+    rotations = np.concatenate(
+        [_shifted_rotations(codes, n), _shifted_rotations(_mirrored(codes, n), n)]
+    )
     return np.minimum(rotations, rotations ^ ((1 << n) - 1)).min(axis=0)
 
 
@@ -751,6 +775,79 @@ def test_rotations_and_least_rotation_match_shifts(n):
     codes = np.arange(1 << n, dtype=np.int64)
     ref = _shifted_rotations(codes, n)
     np.testing.assert_array_equal(list(_rotations(codes, n)), ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 12, 20, 31, 32])
+def test_reversed_matches_bit_by_bit_reversal(n):
+    codes = np.random.default_rng(n).integers(0, 1 << n, 4096, dtype=np.int64)
+    codes[:2] = 0, (1 << n) - 1
+    np.testing.assert_array_equal(_reversed(codes, n), _mirrored(codes, n))
+
+
+def test_palindromic_and_chiral_orbit_sizes():
+    # Sign-change words of length 8: 00010001 (period 4) is its own reversal
+    # up to rotation, 00010111 (period 8) is not (its reversal's least
+    # rotation is 00011101).  Their orbits hold 2 * 4 and 4 * 8 patterns.
+    n = 8
+    codes, mult = _orbits(n)
+    forms = _canonical(codes, n)
+    for word, size in ((0b00010001, 8), (0b00010111, 32)):
+        steps = [1 - 2 * ((word >> (n - 1 - i)) & 1) for i in range(n - 1)]
+        s = np.cumprod([-1] + steps)
+        images = {
+            tuple(sign * np.roll(p, k)) for p in (s, s[::-1]) for k in range(n) for sign in (1, -1)
+        }
+        assert len(images) == size
+        code = np.array([code_from_pattern(s)])
+        assert mult[forms == _canonical(code, n)[0]].tolist() == [size]
+
+
+@pytest.mark.parametrize(
+    "taps, n",
+    [((1.0, 0.2), 12), ((-0.3, 1.0, 0.6), 14), ((1.0, 0.8), 16), ((0.5, -1.0, 0.9, 0.3), 13)],
+)
+def test_certified_energy_is_reversal_symmetric(taps, n):
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    rng = np.random.default_rng(n)
+    for s in rng.choice([-1.0, 1.0], size=(300, n)):
+        e = energy(ops, s).energy
+        assert abs(e - energy(ops, s[::-1]).energy) <= 1e-14 * e
+
+
+def _rotation_negation_orbits(n):
+    """Orbits under rotation and negation only: the even-weight necklaces of
+    the sign-change word, each as its inverse-Gray member with entry 0 = -1,
+    of twice the necklace's period in size."""
+    words, periods = _fkm_necklaces(n)
+    even = np.bitwise_count(words) % 2 == 0
+    codes = words[even]
+    for shift in (1, 2, 4, 8, 16):
+        codes ^= codes >> shift
+    return codes >> 1, 2 * periods[even]
+
+
+def rotation_negation_profile(ops):
+    """The profile with one solve per orbit under rotation and negation, the
+    group the profile used before reversal."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(energy_module, "_orbits", _rotation_negation_orbits)
+        return enumerate_profile(ops)
+
+
+@pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, 0.8), (-0.3, 1.0, 0.6)])
+@pytest.mark.parametrize("n", [12, 14, 16])
+def test_energies_equal_rotation_negation_profile(taps, n):
+    ops = build_operators(ChannelSpec(taps, DELTA, n))
+    old = rotation_negation_profile(ops)
+    want = np.full(1 << n, np.nan)
+    for rotated in _shifted_rotations(old.orbit_codes, n):
+        want[rotated] = old.orbit_energies
+        want[rotated ^ ((1 << n) - 1)] = old.orbit_energies
+    prof = enumerate_profile(ops)
+    np.testing.assert_allclose(prof.energies, want, rtol=1e-14, atol=0)
+    for field in ("e_min", "e_max", "e_mean"):
+        assert getattr(prof, field) == pytest.approx(getattr(old, field), rel=1e-14, abs=0)
+    assert prof.min_count == old.min_count
 
 
 @pytest.mark.parametrize("taps", [(1.0, 0.2), (1.0, 0.8), (-0.3, 1.0, 0.6)])

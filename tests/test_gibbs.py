@@ -24,6 +24,7 @@ from isicap import (
 )
 from isicap.cli import _FIG4_CAPACITY_X
 from isicap.spectral import pbar_two_tap, pmin_two_tap
+from tests.test_energy import rotation_negation_profile
 
 N = 12
 
@@ -383,6 +384,21 @@ _BENCH_CURVES = [
 def test_curve_matches_reference_on_benchmark_grids(taps, n, grid):
     rows = _assert_curve_matches_reference(build_operators(ChannelSpec(taps, 0.3, n)), grid)
     assert any(sol.regime is Regime.GIBBS_INTERIOR for _, sol in rows)
+
+
+def test_curve_matches_rotation_negation_profile_at_n20(monkeypatch):
+    # The gibbs-n20 curve from orbits under rotation, negation and reversal
+    # against the one from orbits under rotation and negation only.
+    taps, n, grid = _BENCH_CURVES[-1]
+    ops = build_operators(ChannelSpec(taps, 0.3, n))
+    rows = capacity_curve(ops, grid)
+    old = rotation_negation_profile(ops)
+    assert old.orbit_codes.size == 26272
+    monkeypatch.setattr(gibbs, "enumerate_profile", lambda _: old)
+    for (p, sol), (q, ref) in zip(rows, capacity_curve(ops, grid), strict=True):
+        assert p == q and sol.regime is ref.regime is Regime.GIBBS_INTERIOR
+        assert sol.gibbs_beta == pytest.approx(ref.gibbs_beta, rel=1e-13, abs=0)
+        assert sol.entropy_bits_per_use == pytest.approx(ref.entropy_bits_per_use, rel=1e-13, abs=0)
 
 
 def _wide_grid(profile, n):
