@@ -127,7 +127,8 @@ def pattern_from_code(code, n: int) -> np.ndarray:
     """Decode an integer code, or an array of them, into +-1 patterns (bit N-1
     is entry 0, N <= 64): shape (n,) for one code, codes.shape + (n,) for an
     array.  Each code's big-endian 64-bit word is unpacked to bits.  A bool or
-    non-integer code, or one outside [0, 2^N), raises ValueError."""
+    non-integer code or N, or a code outside [0, 2^N), raises ValueError."""
+    n = _as_int("N", n)
     if not 0 <= n <= 64:
         raise ValueError(f"codes hold at most 64 bits, got N={n}")
     # Anything but an array goes through an object array, which holds every
@@ -147,9 +148,11 @@ def pattern_from_code(code, n: int) -> np.ndarray:
 
 
 def code_from_pattern(signs) -> int:
-    """The nonnegative code of a +-1 pattern (entry 0 is bit N-1, N <= 64): its
-    bits packed big-endian into bytes, less the zero bits padding the last."""
+    """The nonnegative code of a 1-D +-1 pattern (entry 0 is bit N-1, N <= 64):
+    its bits packed big-endian into bytes, less the zero bits padding the last."""
     signs = np.asarray(signs)
+    if signs.ndim != 1:
+        raise ValueError(f"a pattern must be 1-D, got shape {signs.shape}")
     if signs.size > 64:
         raise ValueError(f"codes hold at most 64 bits, got N={signs.size}")
     if not np.all(np.abs(signs) == 1):

@@ -25,49 +25,33 @@ x = delta * M^{-1} s, and a block's energy sum_n x_n^2 is the Parseval sum
 over the rfft of its signs, channel._block_energies, the one the energy
 layer takes for the closed form.  It is taken row by row, so a block's
 energy does not depend on the slice it falls in.  x itself is formed only
-on the blocks that fall back (below) and on the run's partial last block,
-whose counted samples are summed as x^2: the power is over the first
-num_symbols positions.  A chunk sums its blocks' energies in block order,
-jobs return their flip count and their chunk's energy, and the energies are
-added in chunk order, so the report is the same bit for bit whatever the
-number of workers.
+on the run's partial last block, whose counted samples are summed as x^2:
+the power is over the first num_symbols positions.  A chunk sums its
+blocks' energies in block order, jobs return their flip count and their
+chunk's energy, and the energies are added in chunk order, so the report is
+the same bit for bit whatever the number of workers.
 
-Most noise draws cannot change a decision, and those are decided by one
-integer compare.  The decision on a sample is the sign of y + sigma*z,
-where y = (M x)_n is the noiseless output.  Zero-forcing sends
-x = delta * M^{-1} s, so y is delta*s up to the rounding of the two FFT
-actions, and the simulator never forms it.  By the usual FFT error bound
-that rounding is of order u * cond * log2(2N) times delta, with u the unit
-roundoff and cond the ratio of the largest to the smallest channel gain
-|f_k|; measured, it stays below 1.03 u cond log2(2N) delta on channels from
-N = 12 to 1000.  The run takes margin = delta * cond * log2(2N) *
-_ROUNDING_MARGIN (1e-9, some 10^6 times that, which also covers the sqrt(N)
-by which one entry's error can exceed the normwise bound) as a bound on
-|y - delta*s|.  So when v = delta*s + sigma*z has |v| > 2*margin, y + sigma*z
-lies within margin of v and has its sign.
+Each decision is one integer compare, by inversion.  The decision on a
+sample is the sign of y + sigma*z, where the noiseless output y = (M x)_n
+is delta*s under zero-forcing, so the simulator never forms it.  The noise
+of draw k is z_k = Phi^{-1}(u_k) at u_k = (k + 0.5)/2^53: it rises with k
+and is odd about the middle of the lattice, as u_{2^53-1-k} = 1 - u_k.  As
+Phi^{-1}(u) < t exactly when u < Phi(t), a sign +1 flips exactly when
+u_k < Q(delta/sigma), on the draws k below the edge a of _flip_edge, and
+by the symmetry a sign -1 flips exactly on the draws k >= 2^53 - a.  The
+quiet band [a, 2^53 - 1 - a], where neither sign flips, holds nearly every
+draw, and _tails picks out the rest with one unsigned compare on the raw
+words; a tail flips when it lies below a exactly if its sign is +1.  The
+band is empty only when Q rounds to 1/2 (a = 2^52): then every draw is a
+tail.
 
-The noise z of draw k is the standard library's inverse normal CDF at
-u_k = (k + 0.5)/2^53, +inf where u_k rounds to 1 (k = 2^53 - 1).  It is
-nondecreasing in k, save that in the centre of the law its rational
-approximation steps down by up to two units in the last place now and then.
-So is v for either sign, and four edges on the lattice, found once per run
-by bisection over k in [0, 2^53), pin every decision that v decides: a sign
-+1 flips for k < a (v < -2*margin), is near for a <= k < b and holds for
-k >= b (v > 2*margin); a sign -1 holds for k < c, is near for c <= k < d and
-flips for k >= d.  A step down can leave a draw's v a few units in the last
-place on the wrong side of +-2*margin from its edge, some 10^6 times less
-than margin, so y + sigma*z still has the sign the edge gives.  The quiet
-band [b, c - 1], where neither sign can flip, holds nearly every draw, and
-_tails picks out the rest with one unsigned compare on the raw words.  A
-tail is decided by comparing its k with the edges, and z is computed only
-for the near ones: a near tail takes the x of its block from apply_inverse
-and its y from apply_channel, on those blocks only, and is decided on
-y + sigma*z exactly as in the plain simulation.  So the report is bit for
-bit the one that adds sigma*z_k to every sample of y.  However large sigma
-is, the band holds the draw k = 2^52, whose z is 0.  It is empty only when
-margin reaches delta/2 (cond near 5e8/log2(2N), a nearly singular channel):
-then every draw is a tail and every near draw's block falls back, slowly but
-still exactly.
+a is read off Q as computed, within a lattice point of the exact edge.  A
+plain simulation, with u_k and z_k in floating point and y from FFT
+actions, can differ only on a draw next to an edge, and on the top draw
+k = 2^53 - 1, whose k + 0.5 rounds up to 2^53, so that its z is +inf in
+place of its lattice value of about 8.3.  A sign -1 flips on that draw
+here only when delta/sigma < 8.3, there always: the two differ on it with
+probability 2^-54 per sample, and only when delta/sigma > 8.3.
 """
 
 import math
@@ -77,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelOperators, _as_int, _block_energies, apply_channel, apply_inverse
+from .channel import ChannelOperators, _as_int, _block_energies, apply_inverse
 
 # Blocks per chunk, the unit of work of one job.  Fixed, since it sets where
 # each chunk's words start, so results for a given config are reproducible
@@ -91,10 +75,6 @@ _SLICE_SIZE = 1 << 16
 # and mapped by the inverse normal CDF: one word per sample, unlike rng.normal
 # whose ziggurat consumes a variable number of words, so the stream stays fixed.
 _LATTICE = 1 << 53
-
-# Bound on |M(M^{-1}(delta*s)) - delta*s| as computed, relative to
-# delta * cond * log2(2N): some 10^6 times the largest rounding measured.
-_ROUNDING_MARGIN = 1e-9
 
 # Philox yields 64-bit words in blocks of four; advance() moves one block.
 _PHILOX_BLOCK = 4
@@ -143,57 +123,15 @@ def q_function(x: float) -> float:
     return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 
-def _normal_at(k: int) -> float:
-    """The standard normal draw z_k of lattice integer k.
+def _flip_edge(delta: float, sigma: float) -> int:
+    """The flip edge a: a sign +1 flips on the draws k < a, a sign -1 on
+    k >= 2^53 - a.
 
-    That is the inverse normal CDF at u_k = (k + 0.5)/2^53, and +inf at
-    k = 2^53 - 1, where k + 0.5 rounds up to 2^53 and u_k to 1.
+    a counts the lattice uniforms u_k = (k + 0.5)/2^53 below Q(delta/sigma),
+    the k with k + 0.5 < Q * 2^53.  Q <= 1/2, so Q * 2^53 <= 2^52 is exact,
+    and so is Q * 2^53 - 0.5 wherever its ceiling is not 0.
     """
-    from statistics import NormalDist
-
-    u = (k + 0.5) * 2.0**-53
-    return math.inf if u == 1.0 else NormalDist().inv_cdf(u)
-
-
-def _first(holds) -> int:
-    """The least k in [0, 2^53) at which the test holds, or 2^53 if none.
-
-    The test must turn from false to true once as k rises; the k returned
-    is then the one where it does, holds(k - 1) being false.
-    """
-    lo, hi = 0, _LATTICE
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _edges(delta: float, sigma: float, margin: float) -> tuple:
-    """(a, b, c, d): the lattice edges of the decisions v = +-delta + sigma*z_k.
-
-    A sign +1 flips for k < a and is near (|v| <= 2*margin) for a <= k < b;
-    a sign -1 is near for c <= k < d and flips for k >= d.
-    """
-    bound = 2.0 * margin
-    return (
-        _first(lambda k: delta + sigma * _normal_at(k) >= -bound),
-        _first(lambda k: delta + sigma * _normal_at(k) > bound),
-        _first(lambda k: -delta + sigma * _normal_at(k) >= -bound),
-        _first(lambda k: -delta + sigma * _normal_at(k) > bound),
-    )
-
-
-def _decide(k: np.ndarray, sent: np.ndarray, edges: tuple):
-    """(flipped, near) for tails with lattice integers k and signs sent
-    (True for +1): the tails the edges decide as flips, and those they leave
-    to y + sigma*z."""
-    a, b, c, d = edges
-    flipped = np.where(sent, k < a, k >= d)
-    near = np.where(sent, (a <= k) & (k < b), (c <= k) & (k < d))
-    return flipped, near
+    return math.ceil(q_function(delta / sigma) * _LATTICE - 0.5)
 
 
 def _words_at(key: np.ndarray, offset: int) -> np.random.Philox:
@@ -233,13 +171,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _rounding_margin(ops: ChannelOperators) -> float:
-    """The bound on |y - delta*s| over the samples of a zero-forcing run."""
-    mags = np.abs(ops.dft_gains)
-    cond = float(mags.max() / mags.min())
-    return ops.delta * cond * math.log2(2 * ops.n) * _ROUNDING_MARGIN
-
-
 def _tails(words: np.ndarray, band: tuple) -> np.ndarray:
     """Indices of the noise words whose draw k = w >> 11 lies outside the band.
 
@@ -259,14 +190,13 @@ def _simulate_chunk(
     config: NoisySimConfig,
     key: np.ndarray,
     chunk: int,
-    edges: tuple,
+    edge: int,
 ):
     """(flips, energy) over chunk `chunk` of the run, read off its own words.
 
-    edges are the run's lattice edges (a, b, c, d), from _edges.
+    edge is the run's flip edge a, from _flip_edge.
     """
     n = ops.n
-    sigma = config.sigma
     rows = max(1, _SLICE_SIZE // n)
     nblocks = -(-config.num_symbols // n)
     take = min(_BLOCK_CHUNK, nblocks - chunk * _BLOCK_CHUNK)
@@ -276,7 +206,8 @@ def _simulate_chunk(
     step_words = _words_at(key, start + take)
     noise_words = _words_at(key, start + take * n)
     energies = np.empty(take)
-    band = (edges[1], edges[2] - 1)
+    band = (edge, _LATTICE - 1 - edge)
+    lower = np.uint64(edge << 11)  # a word lies below it when its draw k < a
 
     flips = 0
     for r0 in range(0, take, rows):
@@ -291,18 +222,7 @@ def _simulate_chunk(
         _block_energies(ops, signs, out=energies[r0:r1])
         words = noise_words.random_raw((r1 - r0) * n)[: min(count, r1 * n) - r0 * n]
         tails = _tails(words, band)
-        sent = positive.ravel()[tails]
-        k = words[tails] >> _WORD_SHIFT
-        flipped, near = _decide(k, sent, edges)
-        flips += np.count_nonzero(flipped)
-        near = np.flatnonzero(near)
-        if near.size:
-            block, col = np.divmod(tails[near], n)
-            fallback, at = np.unique(block, return_inverse=True)
-            x = ops.delta * apply_inverse(ops, signs[fallback])
-            noise = sigma * np.array([_normal_at(int(i)) for i in k[near]])
-            y = apply_channel(ops, x)[at, col] + noise
-            flips += np.count_nonzero((y >= 0) != sent[near])
+        flips += np.count_nonzero((words[tails] < lower) == positive.ravel()[tails])
     if count < take * n:
         # The run's partial last block: power over its counted samples only.
         x = ops.delta * apply_inverse(ops, signs[-1])
@@ -324,10 +244,10 @@ def simulate_zero_forcing(ops: ChannelOperators, config: NoisySimConfig) -> SimR
         warnings.warn("fewer than 1000 symbols; the flip-rate estimate will be noisy")
     nchunks = -(-config.num_symbols // (ops.n * _BLOCK_CHUNK))
     key = np.random.Philox(config.seed).state["state"]["key"]
-    edges = _edges(ops.delta, config.sigma, _rounding_margin(ops))
+    edge = _flip_edge(ops.delta, config.sigma)
     with ThreadPoolExecutor(max_workers=min(_usable_cpus(), nchunks)) as pool:
         results = list(
-            pool.map(lambda c: _simulate_chunk(ops, config, key, c, edges), range(nchunks))
+            pool.map(lambda c: _simulate_chunk(ops, config, key, c, edge), range(nchunks))
         )
 
     # A plain left fold in chunk order; sum() compensates floats on Python 3.12+.

@@ -87,6 +87,13 @@ def test_code_from_pattern_rejects_above_64_bits():
         code_from_pattern(np.ones(65))
 
 
+@pytest.mark.parametrize("signs", [np.ones((2, 3)), [[1.0]], 1.0])
+def test_code_from_pattern_rejects_non_1d_patterns(signs):
+    # Once read as the flat pattern: np.ones((2, 3)) as code 63.
+    with pytest.raises(ValueError, match="1-D"):
+        code_from_pattern(signs)
+
+
 @pytest.mark.parametrize(
     "code, n",
     [
@@ -114,6 +121,13 @@ def test_pattern_from_code_rejects_non_integer_codes(code):
     # Once truncated: 5.5 decoded as code 5 and True as code 1.
     with pytest.raises(ValueError, match="code"):
         pattern_from_code(code, 3)
+
+
+@pytest.mark.parametrize("n", [3.5, True, np.float64(3.0), "3"])
+def test_pattern_from_code_rejects_non_integer_n(n):
+    # Once a TypeError for 3.5, and True read as N = 1.
+    with pytest.raises(ValueError, match="N must be an int"):
+        pattern_from_code(1, n)
 
 
 def test_pattern_from_code_accepts_numpy_integers():

@@ -28,9 +28,7 @@ import isicap.simulate as simulate
 from isicap.simulate import (
     _BLOCK_CHUNK,
     _LATTICE,
-    _decide,
-    _edges,
-    _normal_at,
+    _flip_edge,
     _positive_signs,
     _tails,
     _words_at,
@@ -250,6 +248,10 @@ def reference_simulation(ops, config):
         ((1.0, 0.2), 12, 20_000, 1e9, 0.5),
         # Two row slices, the second partial, and a partial last block.
         ((-0.3, 1.0, 0.6), 256, 256 * 300 + 17, 0.1, 0.6),
+        # Q rounds to 1/2, so the band is empty and every draw is a tail;
+        # delta/sigma is inf, so Q = 0 and nothing flips.
+        ((1.0, 0.2), 12, 20_000, 1e300, 0.5),
+        ((1.0, 0.2), 12, 20_000, 5e-324, 0.5),
     ],
 )
 def test_matches_reference_loop(taps, n, symbols, sigma, alpha):
@@ -270,50 +272,6 @@ def _spy_on(monkeypatch, action):
 
     monkeypatch.setattr(simulate, action, spy)
     return blocks
-
-
-def _margin_at(monkeypatch, ops, fraction):
-    """Set the rounding margin of a run on ops to fraction * delta."""
-    mags = np.abs(ops.dft_gains)
-    scale = mags.max() / mags.min() * math.log2(2 * ops.n)
-    monkeypatch.setattr(simulate, "_ROUNDING_MARGIN", fraction / scale)
-
-
-@pytest.mark.parametrize(
-    "taps, n, symbols, sigma",
-    [
-        ((1.0, 0.2), 12, 50_003, 0.12),
-        ((-0.3, 1.0, 0.6), 256, 256 * 300 + 17, 0.1),
-    ],
-)
-def test_near_tails_fall_back_to_channel_action(monkeypatch, taps, n, symbols, sigma):
-    # A margin of delta/10 puts some tails within 2*margin of 0, and their
-    # blocks take y from the channel action; the others are decided on delta*s.
-    ops = build_operators(ChannelSpec(taps, 0.3, n))
-    cfg = NoisySimConfig(sigma=sigma, num_symbols=symbols, seed=19, alpha=0.6)
-    blocks = _spy_on(monkeypatch, "apply_channel")
-    _margin_at(monkeypatch, ops, 0.1)
-    assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
-    assert 0 < sum(blocks) < -(-symbols // n)
-
-
-@pytest.mark.parametrize("taps, n", [((1.0, 0.2), 12), ((-0.3, 1.0, 0.6), 256)])
-def test_margin_above_delta_empties_the_band(monkeypatch, taps, n):
-    ops = build_operators(ChannelSpec(taps, 0.3, n))
-    _margin_at(monkeypatch, ops, 1.5)
-    _, b, c, _ = _edges(ops.delta, 0.1, simulate._rounding_margin(ops))
-    assert b >= c
-    blocks = _spy_on(monkeypatch, "apply_channel")
-    cfg = NoisySimConfig(sigma=0.1, num_symbols=n * 200 + 5, seed=29, alpha=0.6)
-    assert simulate_zero_forcing(ops, cfg) == reference_simulation(ops, cfg)
-    assert sum(blocks) > 0
-
-
-def test_normal_run_never_applies_the_channel(monkeypatch, two_tap_ops):
-    blocks = _spy_on(monkeypatch, "apply_channel")
-    cfg = NoisySimConfig(sigma=0.12, num_symbols=50_003, seed=17, alpha=0.6)
-    assert simulate_zero_forcing(two_tap_ops, cfg) == reference_simulation(two_tap_ops, cfg)
-    assert blocks == []
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -411,131 +369,105 @@ def test_step_flips_match_uniforms(alpha):
     assert np.array_equal(~positive[:, 1], uniforms >= alpha)
 
 
-def _decision_tests(delta, sigma, margin):
-    """The four tests on v = +-delta + sigma*z_k that the edges a, b, c, d
-    split, each false below its edge and true from it on."""
-    bound = 2.0 * margin
-    return [
-        lambda k: delta + sigma * _normal_at(k) >= -bound,
-        lambda k: delta + sigma * _normal_at(k) > bound,
-        lambda k: -delta + sigma * _normal_at(k) >= -bound,
-        lambda k: -delta + sigma * _normal_at(k) > bound,
-    ]
-
-
-def _check_edges(delta, sigma, margin):
-    """Assert that the edges split the four decisions, as the oracle ndtri
-    puts them, and that the noise rises around each; return the edges."""
-    edges = _edges(delta, sigma, margin)
-    a, b, c, d = edges
-    assert 0 <= a <= b <= d < _LATTICE and a <= c <= d
-    tests = _decision_tests(delta, sigma, margin)
-    # Each edge's sign s and threshold t: its test is s*delta + sigma*z >(=) t.
-    thresholds = (-2.0 * margin, 2.0 * margin) * 2
-    for e, holds, s, t in zip(edges, tests, (1, 1, -1, -1), thresholds):
-        # v(e - 1) and v(e) lie on opposite sides of the edge's threshold.
-        assert holds(e)
-        assert e == 0 or not holds(e - 1)
-        # The oracle agrees at an edge inside the lattice: z = (t - s*delta)/sigma
-        # lies between ndtri(u_{e-1}) and ndtri(u_e), up to their rounding.
-        if 0 < e < _LATTICE - 1:
-            target = (t - s * delta) / sigma
-            below, above = ndtri((np.array([e - 1, e]) + 0.5) * 2.0**-53)
-            assert below - 1e-12 * abs(below) <= target <= above + 1e-12 * abs(above)
-        # Around the edge the noise rises, and each test changes only there.
-        k = np.arange(max(e - 1000, 0), min(e + 1001, _LATTICE))
-        z = np.array([_normal_at(int(i)) for i in k])
-        steps = np.diff(z)
-        if np.all(np.abs(z) > 1.5):
-            # Outside the centre of the law the standard library's inverse
-            # normal CDF is nondecreasing on the lattice.
-            assert np.all(steps >= 0)
+def _ndtri_edge(delta, sigma, sign):
+    """The oracle edge of a sign (+1 or -1): the least k at which
+    sign*delta + sigma*ndtri(u_k) >= 0, by bisection over the lower half of
+    the lattice for +1 and the upper half for -1, with u_k = (k + 0.5)/2^53
+    formed in floating point as in reference_simulation."""
+    lo, hi = (0, 1 << 52) if sign > 0 else (1 << 52, _LATTICE)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if sign * delta + sigma * ndtri((mid + 0.5) * 2.0**-53) >= 0:
+            hi = mid
         else:
-            # Inside it, a step may fall by two units in the last place,
-            # far below any margin.
-            assert np.all(steps >= -2 * np.spacing(np.abs(z[1:])))
-        assert [holds(int(i)) for i in k] == list(k >= e)
-    return edges
+            lo = mid + 1
+    return lo
 
 
-@pytest.mark.parametrize("x", [1e-3, 0.5, 1.0, 3.0, 8.0])
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3, 0.5, 1.0, 3.0, 8.0, 37.0])
 def test_quiet_band_edges(x):
-    # sigma puts the band's ends at |z| = x; the band [b, c - 1] holds the
-    # draws with |sigma * z| < delta - 2*margin, its ends where the oracle
-    # ndtri puts them, to within one draw.
-    delta, margin = 0.3, 1e-9
-    sigma = (delta - 2.0 * margin) / x
-    _, b, c, _ = _check_edges(delta, sigma, margin)
-    assert 0 < b < c < _LATTICE
-    tail = q_function(x) * 2.0**53
-    assert abs(b - tail) <= 1 and abs((_LATTICE - c) - tail) <= 1
+    # sigma puts delta/sigma at x.  The band [a, 2^53 - 1 - a] starts where
+    # the oracle ndtri puts the first draw on which a sign +1 holds, and ends
+    # before the first on which a sign -1 flips, to within one draw each;
+    # a counts the lattice uniforms below Q: u_{a-1} < Q <= u_a, so a is
+    # Q * 2^53 to within one half.
+    delta = 0.3
+    sigma = delta / x
+    a = _flip_edge(delta, sigma)
+    assert abs(a - _ndtri_edge(delta, sigma, 1)) <= 1
+    assert abs(_LATTICE - a - _ndtri_edge(delta, sigma, -1)) <= 1
+    assert (a - 0.5) * 2.0**-53 < q_function(delta / sigma) <= (a + 0.5) * 2.0**-53
 
 
-# (sigma, margin / delta): all draws but the top one quiet, a band narrow
-# about z = 0, and near regions some 10^13 to 10^15 draws wide.
-@pytest.mark.parametrize("sigma, fraction", [(1e-9, 1e-8), (1e9, 1e-8), (0.1, 0.1), (1.0, 0.3)])
-def test_edges_split_the_decisions(sigma, fraction):
-    _check_edges(0.3, sigma, fraction * 0.3)
+@pytest.mark.parametrize("sigma, edge", [(1e-9, 0), (5e-324, 0), (1e300, 1 << 52)])
+def test_flip_edge_at_the_extremes(sigma, edge):
+    # No draw flips (delta/sigma = 3e8, then inf), and every draw below
+    # z = 0 flips a sign +1 (delta/sigma = 3e-301, where Q rounds to 1/2).
+    assert _flip_edge(0.3, sigma) == edge
 
 
-@pytest.mark.parametrize("sigma, fraction", [(0.1, 1e-8), (1.0, 0.3), (1e-9, 1e-8)])
-def test_decisions_at_the_edges(sigma, fraction):
-    # The draws on and beside each edge, sent as +1 and as -1, are decided
-    # as v = +-delta + sigma*z_k decides them: a flip beyond 2*margin on the
-    # far side of 0, near within 2*margin of 0.
-    delta, margin = 0.3, fraction * 0.3
-    edges = _edges(delta, sigma, margin)
-    k = sorted({e + i for e in edges for i in (-1, 0, 1) if 0 <= e + i < _LATTICE})
-    k = np.array(k * 2, dtype=np.uint64)
-    sent = np.repeat([True, False], k.size // 2)
-    v = np.where(sent, delta, -delta) + sigma * np.array([_normal_at(int(i)) for i in k])
-    flipped, near = _decide(k, sent, edges)
-    assert flipped.tolist() == list(np.where(sent, v < -2 * margin, v > 2 * margin))
-    assert near.tolist() == list(np.abs(v) <= 2 * margin)
+def _flips(monkeypatch, sigma, sent, word):
+    """Whether a run of one sample, sign +1 if sent else -1, with noise word
+    `word`, counts a flip: the words are replayed in place of Philox's."""
+    words = np.array([0 if sent else (1 << 64) - 1, word], dtype=np.uint64)
+
+    class Replay:
+        def __init__(self, offset):
+            self.at = offset
+
+        def random_raw(self, size):
+            count = int(np.prod(size))
+            self.at += count
+            return words[self.at - count : self.at].reshape(size)
+
+    # At N = 1 the first sign is word 0, there are no steps, the noise word 1.
+    monkeypatch.setattr(simulate, "_words_at", lambda key, offset: Replay(offset))
+    ops = build_operators(ChannelSpec((1.0,), 0.3, 1))
+    with pytest.warns(UserWarning):
+        report = simulate_zero_forcing(ops, NoisySimConfig(sigma=sigma, num_symbols=1))
+    return report.empirical_flip_rate == 1.0
 
 
-def test_top_draw_is_infinite():
-    # k + 0.5 rounds up to 2^53 on the top draw, so u = 1.
-    assert _normal_at(_LATTICE - 1) == math.inf
-    assert _normal_at(_LATTICE - 2) == pytest.approx(ndtri(1.0 - 1.5 * 2.0**-53), rel=1e-14)
-    assert _normal_at(0) == pytest.approx(ndtri(2.0**-54), rel=1e-14)
-    assert _normal_at(1 << 52) == 0.0 < _normal_at((1 << 52) + 1)
+@pytest.mark.parametrize("sigma", [0.1, 1.0, 1e-9, 1e300])
+def test_decisions_at_the_flip_edges(monkeypatch, sigma):
+    # The draws on and beside each edge, and the top draw, sent as +1 and
+    # as -1, whatever their word's low 11 bits: a sign +1 flips below a, a
+    # sign -1 from 2^53 - a on, and the top draw flips a -1 unless a = 0.
+    a = _flip_edge(0.3, sigma)
+    draws = {a - 1, a, _LATTICE - a - 1, _LATTICE - a, _LATTICE - 1}
+    for k in sorted(k for k in draws if 0 <= k < _LATTICE):
+        for low in (0, 0x7FF):
+            word = k << 11 | low
+            assert _flips(monkeypatch, sigma, True, word) == (k < a)
+            assert _flips(monkeypatch, sigma, False, word) == (k >= _LATTICE - a)
 
 
 def test_quiet_band_empty_at_zero():
-    # x = (delta - 2*margin)/sigma = 0, or below: with 2*margin >= delta no
-    # v = +-delta + sigma*z lies beyond 2*margin on both sides at once, and
-    # every draw is a tail, whatever sigma.
-    delta = 0.3
+    # delta/sigma so small that Q rounds to 1/2: a = 2^52, the band
+    # [a, 2^53 - 1 - a] is empty, and every draw is a tail.
     words = np.arange(0, 1 << 64, 1 << 59, dtype=np.uint64)
-    for sigma, fraction in [(1e-9, 0.5), (0.1, 0.5), (1.0, 1.0), (1e9, 1.5)]:
-        _, b, c, _ = _edges(delta, sigma, fraction * delta)
-        assert b >= c
-        assert _tails(words, (b, c - 1)).size == words.size
+    for sigma in (1e17, 1e300):
+        a = _flip_edge(0.3, sigma)
+        assert a == 1 << 52
+        assert _tails(words, (a, _LATTICE - 1 - a)).size == words.size
 
 
 def test_band_narrow_at_huge_sigma():
     # At sigma = 1e9 the band is the 2 * 0.3e-9 / (sqrt(2 pi) 2^-53) or so
-    # draws around z = 0 whose |sigma * z| stays below delta - 2*margin; at
-    # sigma = 1e16 it is the one draw k = 2^52, whose z is 0.
-    delta, sigma, margin = 0.3, 1e9, 3e-9
-    _, b, c, _ = _edges(delta, sigma, margin)
-    width = 2.0 * (delta - 2.0 * margin) / sigma / (math.sqrt(2.0 * math.pi) * 2.0**-53)
-    assert c - b == pytest.approx(width, rel=1e-6)
-    assert _edges(delta, 1e16, margin)[1:3] == (1 << 52, (1 << 52) + 1)
+    # draws about z = 0 whose |sigma * z| stays below delta.
+    delta, sigma = 0.3, 1e9
+    a = _flip_edge(delta, sigma)
+    width = 2.0 * delta / sigma / (math.sqrt(2.0 * math.pi) * 2.0**-53)
+    assert _LATTICE - 2 * a == pytest.approx(width, rel=1e-6)
 
 
 @pytest.mark.parametrize("x", [0.0, 1e-3, 3.0, 1e9])
-def test_tails_at_the_band_edges(monkeypatch, two_tap_ops, x):
-    # sigma puts the band's ends at |z| = x.  x = 0 (a margin of delta/2)
-    # empties the band; x = 1e9 (sigma tiny) puts its lower edge at 0 and its
-    # upper one below the top draw, whose noise is +inf.
+def test_tails_at_the_band_edges(two_tap_ops, x):
+    # sigma puts delta/sigma at x.  x = 0 (sigma = 1e300, where Q rounds to
+    # 1/2) empties the band; x = 1e9 (a = 0) makes it the whole lattice.
     delta = two_tap_ops.delta
-    if x == 0.0:
-        _margin_at(monkeypatch, two_tap_ops, 0.5)
-    margin = simulate._rounding_margin(two_tap_ops)
-    _, lo, c, _ = _edges(delta, (delta - 2.0 * margin) / x if x else 1.0, margin)
-    hi = c - 1
+    lo = _flip_edge(delta, delta / x if x else 1e300)
+    hi = _LATTICE - 1 - lo
     assert (lo == 0) == (x == 1e9)
     assert (lo > hi) == (x == 0.0)
     low, high = lo << 11, (hi << 11) | 0x7FF
@@ -544,11 +476,10 @@ def test_tails_at_the_band_edges(monkeypatch, two_tap_ops, x):
     k = (words >> np.uint64(11)).astype(object)
     expected = [i for i, ki in enumerate(k) if ki < lo or ki > hi]
     assert _tails(words, (lo, hi)).tolist() == expected
-    # Just off each edge is a tail, and so is word 0 unless the band starts at 0.
+    # Just off each edge is a tail, and so are words 0 and 2^64 - 1, unless
+    # the band is the whole lattice.
     if lo <= hi:
-        assert expected == ([0, 5, 7] if lo == 0 else [0, 5, 6, 7])
-    if x == 1e9:
-        assert hi == _LATTICE - 2
+        assert expected == ([] if lo == 0 else [0, 5, 6, 7])
 
 
 def test_import_leaves_scipy_unloaded():
